@@ -65,7 +65,6 @@ from .model import (
     new_system,
     normalize_fields,
     parse_cidr,
-    sentinel_fields,
 )
 from .reachability import ReachabilityMatrix, compute_reachability
 from .scenario import (

@@ -18,8 +18,9 @@ from .errors import FlowcheckError
 from .ingest import (
     assemble_state,
     expand_rules,
-    non_host_cidr_endpoints,
     parse_cilium_policy,
+    parse_decimal,
+    parse_endpoint_fields,
     parse_scenario,
     parse_topology,
 )
@@ -27,11 +28,9 @@ from .matching import MatchMode, evaluate
 from .model import (
     Direction,
     Endpoint,
-    Namespace,
+    canonical_endpoint_text,
     describe_endpoint,
     endpoint_to_dict,
-    normalize_fields,
-    parse_cidr,
     policy_to_dict,
 )
 from .reachability import compute_reachability
@@ -41,7 +40,7 @@ from .scenario import run_scenario
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FlowcheckError(f"cannot read {path}: {exc}") from exc
 
 
@@ -90,38 +89,28 @@ def parse_endpoint_spec(spec: str) -> Endpoint:
             continue
         key, sep, value = part.partition("=")
         key = key.strip()
-        if not sep or key not in ("cidr", "namespace", "port", "label"):
+        if not sep:
             raise FlowcheckError(f"bad endpoint spec component {part!r}")
         if key in fields:
             raise FlowcheckError(f"duplicate endpoint spec key {key!r}")
         fields[key] = value.strip()
-    cidr = parse_cidr(fields["cidr"]) if "cidr" in fields else None
-    namespace = None
     if "namespace" in fields:
         name, sep, ns_id = fields["namespace"].partition("/")
-        if name == "-":
-            namespace = None
-        elif sep:
-            if not ns_id.isdigit():
-                raise FlowcheckError(f"bad namespace id in {fields['namespace']!r}")
-            namespace = Namespace(name, int(ns_id))
-        else:
-            namespace = Namespace(name)
-    port = None
+        fields["namespace"] = name
+        if sep and name != "-":
+            fields["namespace"] = {"name": name, "id": parse_decimal(ns_id)}
     if "port" in fields:
-        if not fields["port"].isdigit():
-            raise FlowcheckError(f"bad port {fields['port']!r}")
-        port = int(fields["port"])
-    label = fields.get("label")
-    cidr, namespace, port, label = normalize_fields(cidr, namespace, port, label)
-    try:
-        return Endpoint(cidr=cidr, namespace=namespace, port=port, label=label)
-    except ValueError as exc:
-        raise FlowcheckError(str(exc)) from exc
+        fields["port"] = parse_decimal(fields["port"])
+    return parse_endpoint_fields(fields, f"endpoint spec {spec!r}")
 
 
 def _ensure_host_cidrs(endpoints, what: str) -> None:
-    bad = non_host_cidr_endpoints(endpoints)
+    """Semantic mode matches a single concrete address against policy
+    blocks, so application and target endpoints must be /32 hosts."""
+    bad = sorted(
+        (ep for ep in endpoints if ep.cidr is not None and ep.cidr.sig_bits != 32),
+        key=canonical_endpoint_text,
+    )
     if bad:
         rendered = ", ".join(describe_endpoint(ep) for ep in bad)
         raise FlowcheckError(

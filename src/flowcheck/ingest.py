@@ -22,6 +22,7 @@ filtered: a 0.0.0.0/0 CIDR in a rule is a real match-everything block.
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -38,13 +39,14 @@ from .errors import (
 )
 from .matching import MatchMode
 from .model import (
+    MAX_APP_ID,
+    MAX_NAMESPACE_ID,
     Cidr,
     Direction,
     Endpoint,
     Namespace,
     Policy,
     PolicyOrigin,
-    canonical_endpoint_text,
     new_system,
     normalize_fields,
     parse_cidr,
@@ -77,6 +79,10 @@ def _strict_mapping(loader, node, deep=False):
     mapping = {}
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
+        if not isinstance(key, Hashable):
+            raise yaml.constructor.ConstructorError(
+                None, None, "found unhashable key", key_node.start_mark
+            )
         if key in mapping:
             raise yaml.constructor.ConstructorError(
                 None, None, f"duplicate mapping key {key!r}", key_node.start_mark
@@ -85,15 +91,26 @@ def _strict_mapping(loader, node, deep=False):
     return mapping
 
 
+def _bounded_int(loader, node):
+    # No field takes a wider int; one past the digit limit cannot be printed.
+    value = loader.construct_yaml_int(node)
+    if value.bit_length() > 64:
+        raise yaml.constructor.ConstructorError(None, None, "integer out of range", node.start_mark)
+    return value
+
+
 _StrictLoader.add_constructor(
     yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping
 )
+_StrictLoader.add_constructor("tag:yaml.org,2002:int", _bounded_int)
 
 
 def _load_yaml(text: str, what: str):
+    # Scalar constructors raise ValueError (e.g. on "2001-02-30"), and the
+    # composer recurses once per nesting level.
     try:
         return yaml.load(text, Loader=_StrictLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise MalformedYaml(f"{what}: {exc}") from exc
 
 
@@ -115,27 +132,53 @@ def _require_str(value, where: str) -> str:
     return value
 
 
+def _require_int(value, where: str, hi: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= hi:
+        raise MalformedYaml(f"{where}: must be an integer in [0, {hi}], got {value!r}")
+    return value
+
+
+def _require_key(node: Mapping, key: str, where: str):
+    if key not in node:
+        raise MalformedYaml(f"{where}: missing {key!r}")
+    return node[key]
+
+
+def _mappings(value, where: str):
+    """Yield ``(f"{where}[i]", entry)`` for a list whose entries are mappings."""
+    for i, entry in enumerate(_require_list(value, where)):
+        yield f"{where}[{i}]", _require_mapping(entry, f"{where}[{i}]")
+
+
+def _check_keys(node: Mapping, allowed, where: str, warnings: Optional[list] = None) -> None:
+    """Report the keys of ``node`` outside ``allowed``.
+
+    Policy documents pass ``warnings`` and get one warning per unknown key,
+    in document order.  Topology and scenario files pass none and fail.
+    """
+    unknown = [key for key in node if key not in allowed]
+    if warnings is not None:
+        warnings.extend(f"{where}: unknown key {key!r}" for key in unknown)
+    elif unknown:
+        raise MalformedYaml(f"{where}: unknown keys {sorted(unknown, key=repr)}")
+
+
+def parse_decimal(text: str):
+    """``text`` as an int if it is 1 to 20 ASCII digits, else ``text`` unchanged."""
+    return int(text) if text.isascii() and text.isdigit() and len(text) <= 20 else text
+
+
 def _parse_port(value, where: str) -> int:
     """Accepts quoted decimal strings (the Cilium convention) or ints."""
     if isinstance(value, str):
-        if not value.isdigit():
+        value = parse_decimal(value)
+        if isinstance(value, str):
             raise InvalidPort(f"{where}: port {value!r} is not a decimal number")
-        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidPort(f"{where}: port must be a number, got {value!r}")
     if not 1 <= value <= 65535:
         raise InvalidPort(f"{where}: port {value} out of range 1-65535")
     return value
-
-
-def _parse_match_labels(value, where: str) -> dict:
-    labels = _require_mapping(value, where)
-    out = {}
-    for key, item in labels.items():
-        if not isinstance(key, str) or not isinstance(item, str):
-            raise MalformedYaml(f"{where}: matchLabels entries must map strings to strings")
-        out[key] = item
-    return out
 
 
 @dataclass(frozen=True)
@@ -157,8 +200,6 @@ class EgressRule:
 
 @dataclass(frozen=True)
 class CiliumPolicyDoc:
-    api_version: str
-    kind: str
     name: str
     namespace: str
     endpoint_selector: Mapping[str, str]
@@ -167,82 +208,54 @@ class CiliumPolicyDoc:
     warnings: tuple[str, ...] = ()
 
 
+def _parse_selector(node, where: str, warnings: list) -> dict:
+    """The matchLabels map of an endpointSelector or fromEndpoints entry."""
+    node = _require_mapping(node, where)
+    _check_keys(node, {"matchLabels"}, where, warnings)
+    labels = _require_mapping(node.get("matchLabels", {}), f"{where}.matchLabels")
+    if not all(isinstance(key, str) and isinstance(item, str) for key, item in labels.items()):
+        raise MalformedYaml(f"{where}.matchLabels: matchLabels entries must map strings to strings")
+    return dict(labels)
+
+
 def _parse_to_ports(value, where: str, warnings: list) -> tuple[int, ...]:
     ports = []
-    for i, block in enumerate(_require_list(value, where)):
-        block = _require_mapping(block, f"{where}[{i}]")
-        for key in block:
-            if key != "ports":
-                warnings.append(f"{where}[{i}]: unknown key {key!r}")
-        for j, entry in enumerate(_require_list(block.get("ports", []), f"{where}[{i}].ports")):
-            entry = _require_mapping(entry, f"{where}[{i}].ports[{j}]")
-            for key in entry:
-                if key != "port":
-                    warnings.append(f"{where}[{i}].ports[{j}]: unknown key {key!r}")
-            if "port" not in entry:
-                raise MalformedYaml(f"{where}[{i}].ports[{j}]: missing 'port'")
-            ports.append(_parse_port(entry["port"], f"{where}[{i}].ports[{j}]"))
+    for block_where, block in _mappings(value, where):
+        _check_keys(block, {"ports"}, block_where, warnings)
+        for entry_where, entry in _mappings(block.get("ports", []), f"{block_where}.ports"):
+            _check_keys(entry, {"port"}, entry_where, warnings)
+            ports.append(_parse_port(_require_key(entry, "port", entry_where), entry_where))
     return tuple(ports)
 
 
 def _parse_cidr_set(value, where: str, warnings: list) -> tuple[Cidr, ...]:
     cidrs = []
-    for i, entry in enumerate(_require_list(value, where)):
-        entry = _require_mapping(entry, f"{where}[{i}]")
-        for key in entry:
-            if key != "cidr":
-                warnings.append(f"{where}[{i}]: unknown key {key!r}")
-        if "cidr" not in entry:
-            raise MalformedYaml(f"{where}[{i}]: missing 'cidr'")
-        cidrs.append(parse_cidr(_require_str(entry["cidr"], f"{where}[{i}].cidr")))
+    for entry_where, entry in _mappings(value, where):
+        _check_keys(entry, {"cidr"}, entry_where, warnings)
+        cidr = _require_str(_require_key(entry, "cidr", entry_where), f"{entry_where}.cidr")
+        cidrs.append(parse_cidr(cidr))
     return tuple(cidrs)
 
 
-def _parse_ingress_rule(rule, index: int, warnings: list) -> IngressRule:
-    where = f"spec.ingress[{index}]"
-    rule = _require_mapping(rule, where)
-    for key in rule:
-        if key not in ("fromCIDRSet", "fromEndpoints", "toPorts"):
-            warnings.append(f"{where}: unknown key {key!r}")
-    from_cidrs = ()
-    if "fromCIDRSet" in rule:
-        from_cidrs = _parse_cidr_set(rule["fromCIDRSet"], f"{where}.fromCIDRSet", warnings)
-    from_endpoints = []
-    if "fromEndpoints" in rule:
-        for i, entry in enumerate(_require_list(rule["fromEndpoints"], f"{where}.fromEndpoints")):
-            entry = _require_mapping(entry, f"{where}.fromEndpoints[{i}]")
-            for key in entry:
-                if key != "matchLabels":
-                    warnings.append(f"{where}.fromEndpoints[{i}]: unknown key {key!r}")
-            from_endpoints.append(
-                _parse_match_labels(
-                    entry.get("matchLabels", {}), f"{where}.fromEndpoints[{i}].matchLabels"
-                )
-            )
+def _parse_ingress_rule(rule: Mapping, where: str, warnings: list) -> IngressRule:
+    _check_keys(rule, {"fromCIDRSet", "fromEndpoints", "toPorts"}, where, warnings)
+    from_cidrs = _parse_cidr_set(rule.get("fromCIDRSet", []), f"{where}.fromCIDRSet", warnings)
+    from_endpoints = tuple(
+        _parse_selector(entry, entry_where, warnings)
+        for entry_where, entry in _mappings(rule.get("fromEndpoints", []), f"{where}.fromEndpoints")
+    )
     if not from_cidrs and not from_endpoints:
         raise MalformedYaml(f"{where}: needs at least one of fromCIDRSet, fromEndpoints")
-    to_ports = ()
-    if "toPorts" in rule:
-        to_ports = _parse_to_ports(rule["toPorts"], f"{where}.toPorts", warnings)
-    return IngressRule(
-        from_cidr_set=from_cidrs, from_endpoints=tuple(from_endpoints), to_ports=to_ports
-    )
+    to_ports = _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings)
+    return IngressRule(from_cidr_set=from_cidrs, from_endpoints=from_endpoints, to_ports=to_ports)
 
 
-def _parse_egress_rule(rule, index: int, warnings: list) -> EgressRule:
-    where = f"spec.egress[{index}]"
-    rule = _require_mapping(rule, where)
-    for key in rule:
-        if key not in ("toCIDRSet", "toPorts"):
-            warnings.append(f"{where}: unknown key {key!r}")
-    if "toCIDRSet" not in rule:
-        raise MalformedYaml(f"{where}: missing 'toCIDRSet'")
-    to_cidrs = _parse_cidr_set(rule["toCIDRSet"], f"{where}.toCIDRSet", warnings)
+def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> EgressRule:
+    _check_keys(rule, {"toCIDRSet", "toPorts"}, where, warnings)
+    to_cidrs = _parse_cidr_set(_require_key(rule, "toCIDRSet", where), f"{where}.toCIDRSet", warnings)
     if not to_cidrs:
         raise MalformedYaml(f"{where}: toCIDRSet must not be empty")
-    to_ports = ()
-    if "toPorts" in rule:
-        to_ports = _parse_to_ports(rule["toPorts"], f"{where}.toPorts", warnings)
+    to_ports = _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings)
     return EgressRule(to_cidr_set=to_cidrs, to_ports=to_ports)
 
 
@@ -253,40 +266,28 @@ def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
     document; anything malformed in the accepted subset raises.
     """
     data = _require_mapping(_load_yaml(text, "policy document"), "policy document")
-    api_version = data.get("apiVersion")
-    if api_version != API_VERSION:
-        raise UnsupportedApiVersion(f"apiVersion must be {API_VERSION!r}, got {api_version!r}")
-    kind = data.get("kind")
-    if kind != KIND:
-        raise UnsupportedKind(f"kind must be {KIND!r}, got {kind!r}")
+    for key, expected, error in (
+        ("apiVersion", API_VERSION, UnsupportedApiVersion), ("kind", KIND, UnsupportedKind)
+    ):
+        if data.get(key) != expected:
+            raise error(f"{key} must be {expected!r}, got {data.get(key)!r}")
     metadata = _require_mapping(data.get("metadata"), "metadata")
     name = _require_str(metadata.get("name"), "metadata.name")
     namespace = _require_str(metadata.get("namespace"), "metadata.namespace")
     spec = _require_mapping(data.get("spec"), "spec")
 
     warnings: list = []
-    for key in spec:
-        if key not in ("endpointSelector", "ingress", "egress"):
-            warnings.append(f"spec: unknown key {key!r}")
-    selector_block = _require_mapping(spec.get("endpointSelector"), "spec.endpointSelector")
-    for key in selector_block:
-        if key != "matchLabels":
-            warnings.append(f"spec.endpointSelector: unknown key {key!r}")
-    selector = _parse_match_labels(
-        selector_block.get("matchLabels", {}), "spec.endpointSelector.matchLabels"
-    )
-
+    _check_keys(spec, {"endpointSelector", "ingress", "egress"}, "spec", warnings)
+    selector = _parse_selector(spec.get("endpointSelector"), "spec.endpointSelector", warnings)
     ingress_rules = tuple(
-        _parse_ingress_rule(rule, i, warnings)
-        for i, rule in enumerate(_require_list(spec.get("ingress", []), "spec.ingress"))
+        _parse_ingress_rule(rule, where, warnings)
+        for where, rule in _mappings(spec.get("ingress", []), "spec.ingress")
     )
     egress_rules = tuple(
-        _parse_egress_rule(rule, i, warnings)
-        for i, rule in enumerate(_require_list(spec.get("egress", []), "spec.egress"))
+        _parse_egress_rule(rule, where, warnings)
+        for where, rule in _mappings(spec.get("egress", []), "spec.egress")
     )
     return CiliumPolicyDoc(
-        api_version=api_version,
-        kind=kind,
         name=name,
         namespace=namespace,
         endpoint_selector=selector,
@@ -328,8 +329,7 @@ def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
     selector_label, _ = _selector_parts(doc.endpoint_selector, namespace_key_special=False)
 
     policies: list[Policy] = []
-    rule_index = 0
-    for rule in doc.ingress_rules:
+    for rule_index, rule in enumerate(doc.ingress_rules):
         origin = PolicyOrigin(doc.name, rule_index)
         peers = [Endpoint(cidr=cidr) for cidr in rule.from_cidr_set]
         for labels in rule.from_endpoints:
@@ -342,8 +342,7 @@ def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
                 policies.append(
                     Policy(pair=(selected, peer), direction=Direction.INGRESS, origin=origin)
                 )
-        rule_index += 1
-    for rule in doc.egress_rules:
+    for rule_index, rule in enumerate(doc.egress_rules, start=len(doc.ingress_rules)):
         origin = PolicyOrigin(doc.name, rule_index)
         selected = Endpoint(namespace=selected_ns, label=selector_label)
         for cidr in rule.to_cidr_set:
@@ -352,40 +351,38 @@ def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
                 policies.append(
                     Policy(pair=(selected, peer), direction=Direction.EGRESS, origin=origin)
                 )
-        rule_index += 1
 
     if not policies:
         raise EmptyExpansion(f"policy document {doc.name!r} produced no policies")
     return policies
 
 
-# --- endpoint fields in topology and scenario files -------------------------
+# --- endpoints and applications in topology and scenario files --------------
 
-_ENDPOINT_KEYS = {"cidr", "namespace", "port", "label"}
+_ENDPOINT_KEYS = frozenset({"cidr", "namespace", "port", "label"})
 
 
-def _parse_endpoint_fields(data, where: str) -> Endpoint:
+def parse_endpoint_fields(data, where: str) -> Endpoint:
+    """One endpoint from its cidr, namespace (a name or a ``{name, id}``
+    mapping), port and label fields, sentinel values normalized to absent."""
     data = _require_mapping(data, where)
-    unknown = set(data) - _ENDPOINT_KEYS
-    if unknown:
-        raise MalformedYaml(f"{where}: unknown endpoint keys {sorted(unknown)}")
+    _check_keys(data, _ENDPOINT_KEYS, where)
     cidr = None
     if data.get("cidr") is not None:
         cidr = parse_cidr(_require_str(data["cidr"], f"{where}.cidr"))
     namespace = None
     ns_value = data.get("namespace")
-    if ns_value is not None:
-        if isinstance(ns_value, str):
-            namespace = None if ns_value == "-" else Namespace(ns_value, DEFAULT_NAMESPACE_ID)
-        else:
-            ns_map = _require_mapping(ns_value, f"{where}.namespace")
-            unknown = set(ns_map) - {"name", "id"}
-            if unknown:
-                raise MalformedYaml(f"{where}.namespace: unknown keys {sorted(unknown)}")
-            namespace = Namespace(
-                _require_str(ns_map.get("name"), f"{where}.namespace.name"),
-                ns_map.get("id", DEFAULT_NAMESPACE_ID),
-            )
+    if isinstance(ns_value, Mapping):
+        _check_keys(ns_value, {"name", "id"}, f"{where}.namespace")
+        namespace = Namespace(
+            _require_str(ns_value.get("name"), f"{where}.namespace.name"),
+            _require_int(
+                ns_value.get("id", DEFAULT_NAMESPACE_ID), f"{where}.namespace.id", MAX_NAMESPACE_ID
+            ),
+        )
+    elif ns_value is not None:
+        ns_name = _require_str(ns_value, f"{where}.namespace")
+        namespace = None if ns_name == "-" else Namespace(ns_name, DEFAULT_NAMESPACE_ID)
     port = None
     if data.get("port") is not None:
         port = data["port"]
@@ -401,6 +398,30 @@ def _parse_endpoint_fields(data, where: str) -> Endpoint:
     if cidr is None and namespace is None and port is None and label is None:
         raise MalformedYaml(f"{where}: endpoint has no present fields after normalization")
     return Endpoint(cidr=cidr, namespace=namespace, port=port, label=label)
+
+
+_APP_KEYS = frozenset({"id", "send", "listen", "receive_only"})
+
+
+def _resolve(symbols: Mapping, ref, where: str, kind: str = "endpoint"):
+    ref = _require_str(ref, where)
+    if ref not in symbols:
+        raise UnknownEndpointReference(f"{where}: undeclared {kind} {ref!r}")
+    return symbols[ref]
+
+
+def _parse_application(entry: Mapping, where: str, endpoints: Mapping) -> dict:
+    """The id, send, listen and receive_only fields of one entry, resolved."""
+    listen = _require_list(entry.get("listen", []), f"{where}.listen")
+    receive_only = entry.get("receive_only", False)
+    if not isinstance(receive_only, bool):
+        raise MalformedYaml(f"{where}.receive_only: must be a boolean")
+    return {
+        "id": _require_int(_require_key(entry, "id", where), f"{where}.id", MAX_APP_ID),
+        "send": _resolve(endpoints, _require_key(entry, "send", where), f"{where}.send"),
+        "listen": tuple(_resolve(endpoints, ref, f"{where}.listen[{j}]") for j, ref in enumerate(listen)),
+        "receive_only": receive_only,
+    }
 
 
 # --- topology ----------------------------------------------------------------
@@ -420,64 +441,38 @@ class ApplicationRecord:
 def parse_topology(text: str):
     """Parse a topology document into (named endpoints, application records)."""
     data = _require_mapping(_load_yaml(text, "topology document"), "topology document")
-    unknown = set(data) - {"endpoints", "applications"}
-    if unknown:
-        raise MalformedYaml(f"topology: unknown keys {sorted(unknown)}")
+    _check_keys(data, {"endpoints", "applications"}, "topology")
 
     endpoints: dict[str, Endpoint] = {}
     for name, fields in _require_mapping(data.get("endpoints", {}), "endpoints").items():
         name = _require_str(name, "endpoint name")
-        endpoints[name] = _parse_endpoint_fields(fields, f"endpoints.{name}")
+        endpoints[name] = parse_endpoint_fields(fields, f"endpoints.{name}")
 
-    def resolve(ref, where: str) -> Endpoint:
-        ref = _require_str(ref, where)
-        if ref not in endpoints:
-            raise UnknownEndpointReference(f"{where}: undeclared endpoint {ref!r}")
-        return endpoints[ref]
-
-    records = []
-    seen_ids = set()
-    for i, entry in enumerate(_require_list(data.get("applications", []), "applications")):
-        where = f"applications[{i}]"
-        entry = _require_mapping(entry, where)
-        unknown = set(entry) - {"id", "name", "send", "listen", "receive_only"}
-        if unknown:
-            raise MalformedYaml(f"{where}: unknown keys {sorted(unknown)}")
-        aid = entry.get("id")
-        if isinstance(aid, bool) or not isinstance(aid, int) or aid < 0:
-            raise MalformedYaml(f"{where}.id: must be a non-negative integer, got {aid!r}")
-        if aid in seen_ids:
-            raise DuplicateSymbol(f"{where}: application id {aid} declared twice")
-        seen_ids.add(aid)
-        listen = tuple(
-            resolve(ref, f"{where}.listen[{j}]")
-            for j, ref in enumerate(_require_list(entry.get("listen", []), f"{where}.listen"))
-        )
-        receive_only = entry.get("receive_only", False)
-        if not isinstance(receive_only, bool):
-            raise MalformedYaml(f"{where}.receive_only: must be a boolean")
+    records: dict[int, ApplicationRecord] = {}
+    for where, entry in _mappings(data.get("applications", []), "applications"):
+        _check_keys(entry, _APP_KEYS | {"name"}, where)
+        app = _parse_application(entry, where, endpoints)
+        if app["id"] in records:
+            raise DuplicateSymbol(f"{where}: application id {app['id']} declared twice")
         name = entry.get("name")
         if name is not None:
             name = _require_str(name, f"{where}.name")
-        records.append(
-            ApplicationRecord(
-                app_id=aid,
-                send=resolve(entry.get("send"), f"{where}.send"),
-                listen=listen,
-                receive_only=receive_only,
-                name=name,
-            )
+        records[app["id"]] = ApplicationRecord(
+            app["id"], app["send"], app["listen"], app["receive_only"], name
         )
-    return endpoints, tuple(records)
+    return endpoints, tuple(records.values())
 
 
 # --- scenario scripts --------------------------------------------------------
 
-_OPERATION_FOR_ACTION = {
-    "create_endpoint": "CreateEndpoint",
-    "create_policy": "CreatePolicy",
-    "deploy_application": "DeployApplication",
-    "send_data": "SendData",
+# Each action: the operation an expected violation names (send_data's "deny"
+# is a refused transfer) and the keys besides "expect".  Verdicts read every
+# deployed policy, so deploy_application only resolves its "policies" list.
+_ACTIONS = {
+    "create_endpoint": ("CreateEndpoint", _ENDPOINT_KEYS | {"name"}),
+    "create_policy": ("CreatePolicy", {"name", "first", "second", "direction"}),
+    "deploy_application": ("DeployApplication", _APP_KEYS | {"policies"}),
+    "send_data": ("TransferData", {"from", "to", "endpoint"}),
 }
 
 
@@ -503,19 +498,12 @@ class ScenarioScript:
 
 
 def _parse_expectation(value, action: str, where: str) -> Expectation:
-    if value is None:
+    ok, violation = ("allow", "deny") if action == "send_data" else ("ok", "violation")
+    if value is None or value == ok:
         return EXPECT_OK
-    if action == "send_data":
-        if value == "allow":
-            return EXPECT_OK
-        if value == "deny":
-            return Expectation(violation_of="TransferData")
-        raise MalformedYaml(f"{where}.expect: must be 'allow' or 'deny', got {value!r}")
-    if value == "ok":
-        return EXPECT_OK
-    if value == "violation":
-        return Expectation(violation_of=_OPERATION_FOR_ACTION[action])
-    raise MalformedYaml(f"{where}.expect: must be 'ok' or 'violation', got {value!r}")
+    if value == violation:
+        return Expectation(violation_of=_ACTIONS[action][0])
+    raise MalformedYaml(f"{where}.expect: must be {ok!r} or {violation!r}, got {value!r}")
 
 
 def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) -> ScenarioScript:
@@ -526,9 +514,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
     symbols (e.g. the endpoint names of an already-loaded topology).
     """
     data = _require_mapping(_load_yaml(text, "scenario document"), "scenario document")
-    unknown = set(data) - {"mode", "steps"}
-    if unknown:
-        raise MalformedYaml(f"scenario: unknown keys {sorted(unknown)}")
+    _check_keys(data, {"mode", "steps"}, "scenario")
     mode = None
     if data.get("mode") is not None:
         try:
@@ -539,96 +525,47 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
     endpoints: dict[str, Endpoint] = dict(symbols or {})
     policies: dict[str, Policy] = {}
 
-    def declare(name, value, where: str):
-        name = _require_str(name, f"{where}.name")
+    def declare(body: Mapping, where: str) -> str:
+        name = _require_str(body.get("name"), f"{where}.name")
         if name in endpoints or name in policies:
             raise DuplicateSymbol(f"{where}: symbol {name!r} declared twice")
-        return name, value
-
-    def resolve_endpoint(ref, where: str) -> Endpoint:
-        ref = _require_str(ref, where)
-        if ref not in endpoints:
-            raise UnknownEndpointReference(f"{where}: undeclared endpoint {ref!r}")
-        return endpoints[ref]
-
-    def resolve_policy(ref, where: str) -> Policy:
-        ref = _require_str(ref, where)
-        if ref not in policies:
-            raise UnknownEndpointReference(f"{where}: undeclared policy {ref!r}")
-        return policies[ref]
-
-    def require_app_id(value, where: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise MalformedYaml(f"{where}: must be a non-negative integer, got {value!r}")
-        return value
+        return name
 
     steps = []
-    for i, raw in enumerate(_require_list(data.get("steps"), "steps")):
-        where = f"steps[{i}]"
-        raw = _require_mapping(raw, where)
+    for where, raw in _mappings(data.get("steps"), "steps"):
         if len(raw) != 1:
             raise MalformedYaml(f"{where}: step must have exactly one action key")
+        _check_keys(raw, _ACTIONS, where)
         action, body = next(iter(raw.items()))
-        if action not in _OPERATION_FOR_ACTION:
-            raise MalformedYaml(f"{where}: unknown action {action!r}")
         body = _require_mapping(body, f"{where}.{action}")
+        _check_keys(body, _ACTIONS[action][1] | {"expect"}, where)
         expected = _parse_expectation(body.get("expect"), action, where)
 
         if action == "create_endpoint":
-            allowed = _ENDPOINT_KEYS | {"name", "expect"}
-            unknown = set(body) - allowed
-            if unknown:
-                raise MalformedYaml(f"{where}: unknown keys {sorted(unknown)}")
-            fields = {k: body[k] for k in _ENDPOINT_KEYS if k in body}
-            ep = _parse_endpoint_fields(fields, where)
-            name, _ = declare(body.get("name"), ep, where)
+            ep = parse_endpoint_fields({k: body[k] for k in _ENDPOINT_KEYS if k in body}, where)
+            name = declare(body, where)
             endpoints[name] = ep
             args = {"name": name, "cidr": ep.cidr, "namespace": ep.namespace,
                     "port": ep.port, "label": ep.label}
         elif action == "create_policy":
-            unknown = set(body) - {"name", "first", "second", "direction", "expect"}
-            if unknown:
-                raise MalformedYaml(f"{where}: unknown keys {sorted(unknown)}")
             direction = body.get("direction")
             if isinstance(direction, bool) or direction not in (0, 1):
                 raise MalformedYaml(f"{where}.direction: must be 0 or 1, got {direction!r}")
-            first = resolve_endpoint(body.get("first"), f"{where}.first")
-            second = resolve_endpoint(body.get("second"), f"{where}.second")
-            policy = Policy(pair=(first, second), direction=Direction(direction))
-            name, _ = declare(body.get("name"), policy, where)
-            policies[name] = policy
+            first = _resolve(endpoints, body.get("first"), f"{where}.first")
+            second = _resolve(endpoints, body.get("second"), f"{where}.second")
+            name = declare(body, where)
+            policies[name] = Policy(pair=(first, second), direction=Direction(direction))
             args = {"name": name, "first": first, "second": second,
                     "direction": Direction(direction)}
         elif action == "deploy_application":
-            unknown = set(body) - {"id", "send", "listen", "receive_only", "policies", "expect"}
-            if unknown:
-                raise MalformedYaml(f"{where}: unknown keys {sorted(unknown)}")
-            listen = tuple(
-                resolve_endpoint(ref, f"{where}.listen[{j}]")
-                for j, ref in enumerate(_require_list(body.get("listen", []), f"{where}.listen"))
-            )
-            pols = tuple(
-                resolve_policy(ref, f"{where}.policies[{j}]")
-                for j, ref in enumerate(_require_list(body.get("policies", []), f"{where}.policies"))
-            )
-            receive_only = body.get("receive_only", False)
-            if not isinstance(receive_only, bool):
-                raise MalformedYaml(f"{where}.receive_only: must be a boolean")
-            args = {
-                "id": require_app_id(body.get("id"), f"{where}.id"),
-                "send": resolve_endpoint(body.get("send"), f"{where}.send"),
-                "listen": listen,
-                "receive_only": receive_only,
-                "policies": pols,
-            }
+            for j, ref in enumerate(_require_list(body.get("policies", []), f"{where}.policies")):
+                _resolve(policies, ref, f"{where}.policies[{j}]", "policy")
+            args = _parse_application(body, where, endpoints)
         else:  # send_data
-            unknown = set(body) - {"from", "to", "endpoint", "expect"}
-            if unknown:
-                raise MalformedYaml(f"{where}: unknown keys {sorted(unknown)}")
             args = {
-                "from": require_app_id(body.get("from"), f"{where}.from"),
-                "to": require_app_id(body.get("to"), f"{where}.to"),
-                "endpoint": resolve_endpoint(body.get("endpoint"), f"{where}.endpoint"),
+                "from": _require_int(body.get("from"), f"{where}.from", MAX_APP_ID),
+                "to": _require_int(body.get("to"), f"{where}.to", MAX_APP_ID),
+                "endpoint": _resolve(endpoints, body.get("endpoint"), f"{where}.endpoint"),
             }
         steps.append(ScenarioStep(action=action, arguments=args, expected=expected))
 
@@ -662,18 +599,6 @@ def assemble_state(policies: Sequence[Policy] = (), topology=None):
     return state, names
 
 
-def non_host_cidr_endpoints(endpoints) -> list[Endpoint]:
-    """Concrete endpoints whose CIDR is not a /32 host address.
-
-    Semantic mode matches a single concrete address against policy
-    blocks, so application and target endpoints must be hosts.
-    """
-    return sorted(
-        (ep for ep in endpoints if ep.cidr is not None and ep.cidr.sig_bits != 32),
-        key=canonical_endpoint_text,
-    )
-
-
 def policies_to_text(policies: Sequence[Policy]) -> str:
     """Canonical serialization of policies (deterministic field order)."""
     return json.dumps(
@@ -684,9 +609,6 @@ def policies_to_text(policies: Sequence[Policy]) -> str:
 def policies_from_text(text: str) -> list[Policy]:
     """Inverse of policies_to_text."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedYaml(f"policy dump: {exc}") from exc
-    if not isinstance(data, Mapping) or "policies" not in data:
-        raise MalformedYaml("policy dump: expected an object with a 'policies' list")
-    return [policy_from_dict(d) for d in _require_list(data["policies"], "policies")]
+        return [policy_from_dict(d) for d in json.loads(text)["policies"]]
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise MalformedYaml(f"policy dump: {exc!r}") from exc

@@ -9,8 +9,7 @@ immutable values validating their invariants at construction time.
 Scenario scripts conventionally encode "unconstrained" endpoint fields
 with sentinel values (CIDR 0.0.0.0/0, namespace "-" with id 0, port 0,
 empty label).  The model stores absence explicitly; ``normalize_fields``
-maps the sentinels to absent on the way in and ``sentinel_fields`` maps
-absent back to sentinels on the way out.
+maps the sentinels to absent on the way in.
 """
 
 from __future__ import annotations
@@ -24,6 +23,9 @@ from typing import Mapping, Optional
 from .errors import InvalidCidrString, UnknownApplication
 
 _CIDR_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})/(\d{1,2})$")
+
+MAX_APP_ID = 2**63 - 1
+MAX_NAMESPACE_ID = 2**31 - 1
 
 
 def _check_int(value, name: str, lo: int, hi: int) -> None:
@@ -83,7 +85,7 @@ class Namespace:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"namespace name must be a non-empty string, got {self.name!r}")
-        _check_int(self.id, "namespace id", 0, 2**31 - 1)
+        _check_int(self.id, "namespace id", 0, MAX_NAMESPACE_ID)
 
 
 class Direction(IntEnum):
@@ -137,16 +139,6 @@ def normalized_fields(ep: Endpoint):
     return normalize_fields(ep.cidr, ep.namespace, ep.port, ep.label)
 
 
-def sentinel_fields(ep: Endpoint):
-    """Inverse of normalization: absent fields rendered as sentinels."""
-    return (
-        ep.cidr if ep.cidr is not None else SENTINEL_CIDR,
-        ep.namespace if ep.namespace is not None else SENTINEL_NAMESPACE,
-        ep.port if ep.port is not None else 0,
-        ep.label if ep.label is not None else "",
-    )
-
-
 @dataclass(frozen=True)
 class PolicyOrigin:
     """Provenance of an ingested policy: source document name and rule index."""
@@ -180,20 +172,18 @@ class Policy:
 
 @dataclass(frozen=True)
 class Application:
-    """A deployed unit: send endpoint, listen endpoints, applied policies."""
+    """A deployed unit: send endpoint and listen endpoints."""
 
     app_id: int
     send_endpoint: Endpoint
     listen_endpoints: frozenset[Endpoint] = frozenset()
     receive_only: bool = False
-    applied_policies: frozenset[Policy] = frozenset()
 
     def __post_init__(self):
-        _check_int(self.app_id, "app_id", 0, 2**63 - 1)
+        _check_int(self.app_id, "app_id", 0, MAX_APP_ID)
         if not isinstance(self.send_endpoint, Endpoint):
             raise ValueError(f"send_endpoint must be an Endpoint, got {self.send_endpoint!r}")
         object.__setattr__(self, "listen_endpoints", frozenset(self.listen_endpoints))
-        object.__setattr__(self, "applied_policies", frozenset(self.applied_policies))
         if not isinstance(self.receive_only, bool):
             raise ValueError(f"receive_only must be a bool, got {self.receive_only!r}")
 

@@ -74,7 +74,6 @@ def deploy_application(
     send_endpoint: Endpoint,
     listen_endpoints=(),
     receive_only: bool = False,
-    policies=(),
 ) -> SystemState:
     """Deploy an application and initialize its received-data log.
 
@@ -87,7 +86,6 @@ def deploy_application(
         send_endpoint=send_endpoint,
         listen_endpoints=frozenset(listen_endpoints),
         receive_only=receive_only,
-        applied_policies=frozenset(policies),
     )
     app_data = dict(state.app_data)
     app_data[aid] = ()
@@ -254,7 +252,6 @@ def _apply_step(state, step: ScenarioStep, mode: MatchMode, check_listen: bool):
             args["send"],
             args.get("listen", ()),
             args.get("receive_only", False),
-            args.get("policies", ()),
         )
         return state, f"deployed application {args['id']}"
     state, verdict = send_data(

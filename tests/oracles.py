@@ -122,7 +122,6 @@ def random_system(rng: random.Random, max_apps=4, max_endpoints=6, max_policies=
                 send_endpoint=pick_endpoint(),
                 listen_endpoints=listen,
                 receive_only=rng.random() < 0.2,
-                applied_policies=frozenset(rng.sample(policies, k=rng.randint(0, len(policies)))),
             )
         )
         app_data[aid] = ()

@@ -91,8 +91,8 @@ def test_criterion_1_client_flow_golden(scenario_texts):
     state, ep2 = create_endpoint(state, Cidr(0, 0, 0, 0, 0), Namespace("NS-UI", 1), 443, "WebUI")
     state, ep3 = create_endpoint(state, Cidr(10, 28, 1, 4, 30), Namespace("-", 0), 0, "")
     state, pol = create_policy(state, ep3, ep1, Direction.INGRESS)
-    state = deploy_application(state, 1, ep1, (), False, {pol})
-    state = deploy_application(state, 2, ep2, {ep2}, True, {pol})
+    state = deploy_application(state, 1, ep1, (), False)
+    state = deploy_application(state, 2, ep2, {ep2}, True)
     before = state_fingerprint(state)
     with pytest.raises(PolicyViolation):
         send_data(state, 1, 2, ep2, MatchMode.STRICT)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowcheck.cli import main, parse_endpoint_spec
 from flowcheck import Cidr, Endpoint, Namespace
 from flowcheck.errors import FlowcheckError
+from flowcheck.ingest import _ACTIONS, _APP_KEYS, _ENDPOINT_KEYS
 
 from conftest import DATA
 
@@ -238,6 +241,132 @@ class TestEndpointSpec:
     def test_bad_specs(self, spec):
         with pytest.raises(FlowcheckError):
             parse_endpoint_spec(spec)
+
+
+POLICY_WITH_SUPERSCRIPT_PORT = """\
+apiVersion: cilium.io/v2
+kind: CiliumNetworkPolicy
+metadata: {name: P, namespace: NS}
+spec:
+  endpointSelector: {matchLabels: {app: A}}
+  ingress:
+    - fromCIDRSet: [{cidr: 10.0.0.0/8}]
+      toPorts: [{ports: [{port: "\u00b2"}]}]
+"""
+
+# name -> (arguments, file content); a file holding the content, if any,
+# is appended to the arguments
+MALFORMED_INPUTS = {
+    "topology-namespace-id-negative": (
+        ["reachability", "--topology"], "endpoints:\n  a: {namespace: {name: NS-UI, id: -5}}\n"),
+    "topology-app-id-huge": (
+        ["reachability", "--topology"],
+        "endpoints:\n  a: {label: A}\napplications:\n  - {id: 99999999999999999999, send: a}\n"),
+    "topology-namespace-empty": (["reachability", "--topology"], 'endpoints:\n  a: {namespace: ""}\n'),
+    "topology-mixed-type-keys": (["reachability", "--topology"], "1: x\nfoo: y\n"),
+    "scenario-namespace-id-bool": (
+        ["check", "--scenario"],
+        "steps:\n  - create_endpoint: {name: e, namespace: {name: NS-A, id: true}}\n"),
+    "scenario-app-id-huge": (
+        ["check", "--scenario"],
+        "steps:\n  - create_endpoint: {name: e, label: x}\n"
+        "  - deploy_application: {id: 99999999999999999999, send: e}\n"),
+    "scenario-mixed-type-step-keys": (
+        ["check", "--scenario"], "steps:\n  - create_endpoint: {name: e, label: x, 3: y, z: 1}\n"),
+    "scenario-unhashable-key": (["check", "--scenario"], "steps: []\n? [a, b]\n: 1\n"),
+    "scenario-not-utf8": (["check", "--scenario"], b"steps: []\n# \xff\xfe\n"),
+    "explain-namespace-id-huge": (["explain", "label=x", "namespace=NS-UI/99999999999"], None),
+    "explain-namespace-name-empty": (["explain", "label=x", "namespace=/3"], None),
+    "explain-port-superscript-digit": (["explain", "label=x", "port=\u00b2"], None),
+    "policy-port-superscript-digit": (
+        ["explain", "label=x", "label=y", "--policies"], POLICY_WITH_SUPERSCRIPT_PORT),
+    "scenario-impossible-date": (["check", "--scenario"], "steps: []\nmode: 2001-02-30\n"),
+    "scenario-bad-float-tag": (["check", "--scenario"], "steps: !!float abc\n"),
+    "scenario-int-past-digit-limit": (["check", "--scenario"], "steps: []\nmode: " + "9" * 5000 + "\n"),
+    "topology-hex-int-past-digit-limit": (
+        ["reachability", "--topology"],
+        "endpoints:\n  a: {label: A}\napplications:\n  - {id: 0x" + "f" * 4000 + ", send: a}\n"),
+    "explain-port-past-digit-limit": (["explain", "label=x", "port=" + "9" * 5000], None),
+    "scenario-deep-nesting": (["check", "--scenario"], "steps: " + "[" * 700 + "]" * 700 + "\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "args, content", list(MALFORMED_INPUTS.values()), ids=list(MALFORMED_INPUTS)
+)
+def test_malformed_input_is_config_error(args, content, tmp_path, capsys):
+    if content is not None:
+        path = tmp_path / "input.yaml"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        args = [*args, str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# Hostile documents built from the schema's own key names: values include
+# negative, huge and bool ints, "", lists and nested maps; keys mix types.
+_names = st.sampled_from(["a", "b"])
+_hostile = st.recursive(
+    st.sampled_from(
+        [-5, 0, 1, 2, 443, 2**31, 2**63, 10**20, True, False, None, "", "-", "a", "b",
+         "NS-A", "10.0.0.1/32", "10.0.0.0/8", "0.0.0.0/0", "ok", "violation", "deny"]
+    ),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(["name", "id", "x"]) | st.integers(0, 2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _node(keys):
+    key = st.sampled_from(sorted(keys)) | st.integers(-1, 2)
+    return st.dictionaries(key, _hostile | st.lists(_names, max_size=2), max_size=len(keys) + 1)
+
+
+_topology = st.fixed_dictionaries(
+    {},
+    optional={
+        "endpoints": st.dictionaries(
+            _names | st.integers(0, 1), _node(_ENDPOINT_KEYS) | _hostile, max_size=3
+        ),
+        "applications": st.lists(_node(_APP_KEYS | {"name"}) | _hostile, max_size=3),
+        1: _hostile,
+    },
+)
+_step = st.sampled_from(sorted(_ACTIONS)).flatmap(
+    lambda action: st.fixed_dictionaries({action: _node(_ACTIONS[action][1] | {"expect"})})
+)
+_scenario = st.fixed_dictionaries(
+    {"steps": st.lists(_step | _hostile, max_size=4)},
+    optional={"mode": st.sampled_from(["strict", "semantic", 3, None])},
+)
+_spec = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(_ENDPOINT_KEYS) + ["x"]),
+        st.sampled_from(["", "NS", "NS/7", "-", "/3", "0", "443", "99999999999", "10.0.0.1/32",
+                         "\u00b2", "a=b"]),
+    ),
+    max_size=3,
+).map(lambda pairs: ",".join(f"{key}={value}" for key, value in pairs))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(topology=_topology, scenario=_scenario, sender=_spec, receiver=_spec)
+def test_hostile_files_never_raise(topology, scenario, sender, receiver, tmp_path):
+    topo, scen = tmp_path / "topology.yaml", tmp_path / "scenario.yaml"
+    topo.write_text(yaml.safe_dump(topology, sort_keys=False), encoding="utf-8")
+    scen.write_text(yaml.safe_dump(scenario, sort_keys=False), encoding="utf-8")
+    for argv in (
+        ["check", "--topology", str(topo), "--scenario", str(scen)],
+        ["check", "--scenario", str(scen), "--mode", "semantic"],
+        ["reachability", "--topology", str(topo)],
+        ["explain", "--", sender, receiver],
+    ):
+        assert main(argv) in (0, 1, 2)
 
 
 def test_console_entry_point():

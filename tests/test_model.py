@@ -19,7 +19,6 @@ from flowcheck import (
     new_system,
     normalize_fields,
     parse_cidr,
-    sentinel_fields,
 )
 from flowcheck.errors import InvalidCidrString
 from flowcheck.model import endpoint_from_dict, endpoint_to_dict, policy_from_dict, policy_to_dict
@@ -91,12 +90,6 @@ class TestNamespaceAndEndpoint:
         cidr = Cidr(10, 28, 1, 2, 30)
         ns = Namespace("NS-UI", 1)
         assert normalize_fields(cidr, ns, 443, "WebUI") == (cidr, ns, 443, "WebUI")
-
-    def test_sentinel_fields_inverse(self):
-        ep = Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
-        cidr, ns, port, label = sentinel_fields(ep)
-        assert (cidr, ns, port, label) == (Cidr(10, 28, 1, 2, 30), Namespace("-", 0), 0, "")
-        assert normalize_fields(cidr, ns, port, label) == (ep.cidr, None, None, None)
 
 
 class TestPolicy:

@@ -43,8 +43,8 @@ def client_webui_state():
     state, ep1 = create_endpoint(state, Cidr(10, 28, 1, 2, 30), Namespace("-", 0), 0, "")
     state, ep2 = create_endpoint(state, Cidr(0, 0, 0, 0, 0), Namespace("NS-UI", 1), 443, "WebUI")
     state, pol = create_policy(state, ep2, ep1, Direction.INGRESS)
-    state = deploy_application(state, 1, ep1, (), False, {pol})
-    state = deploy_application(state, 2, ep2, {ep2}, True, {pol})
+    state = deploy_application(state, 1, ep1, (), False)
+    state = deploy_application(state, 2, ep2, {ep2}, True)
     return state, ep1, ep2, pol
 
 
@@ -54,8 +54,8 @@ def command_asset_state():
     state, ep1 = create_endpoint(state, Cidr(10, 29, 1, 23, 28), Namespace("-", 0), 5443, "")
     state, ep2 = create_endpoint(state, Cidr(0, 0, 0, 0, 0), Namespace("NS-Command", 1), 0, "Command")
     state, pol = create_policy(state, ep2, ep1, Direction.EGRESS)
-    state = deploy_application(state, 1, ep1, (), False, {pol})
-    state = deploy_application(state, 2, ep2, {ep2}, False, {pol})
+    state = deploy_application(state, 1, ep1, (), False)
+    state = deploy_application(state, 2, ep2, {ep2}, False)
     return state, ep1, ep2, pol
 
 
