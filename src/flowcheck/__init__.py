@@ -18,7 +18,6 @@ from .errors import (
     MalformedYaml,
     PolicyViolation,
     ReceiverUnknown,
-    ScenarioAborted,
     SenderReceiveOnly,
     SenderUnknown,
     UnknownApplication,
@@ -46,6 +45,7 @@ from .matching import (
     cidr_contains,
     endpoint_matches,
     evaluate,
+    explain,
     policy_permits,
 )
 from .model import (

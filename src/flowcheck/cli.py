@@ -24,7 +24,7 @@ from .ingest import (
     parse_scenario,
     parse_topology,
 )
-from .matching import MatchMode, evaluate
+from .matching import MatchMode, evaluate, explain
 from .model import (
     Direction,
     Endpoint,
@@ -211,6 +211,7 @@ def cmd_explain(args) -> int:
     if mode is MatchMode.SEMANTIC:
         _ensure_host_cidrs([sender, receiver], "sender/receiver endpoints")
     verdict = evaluate(policies, sender, receiver, mode)
+    reasons = () if verdict.allowed else explain(policies, sender, receiver, mode)
 
     if args.format == "json":
         doc = {
@@ -223,7 +224,7 @@ def cmd_explain(args) -> int:
             doc["matched_policy"] = _policy_json(verdict.matched_policy)
         doc["failed_predicates"] = [
             {"policy": _policy_json(policy), "predicate": predicate}
-            for policy, predicate in verdict.failed_predicates
+            for policy, predicate in reasons
         ]
         print(json.dumps(doc, indent=2))
     else:
@@ -235,9 +236,9 @@ def cmd_explain(args) -> int:
             print(f"[{_origin_text(policy)}] MATCH ({direction})")
             print("ALLOWED")
         else:
-            if not verdict.failed_predicates:
+            if not reasons:
                 print("no policies loaded")
-            for policy, predicate in verdict.failed_predicates:
+            for policy, predicate in reasons:
                 print(f"[{_origin_text(policy)}] FAIL {predicate}")
             print("DENIED")
     return 0 if verdict.allowed else 1

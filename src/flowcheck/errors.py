@@ -74,15 +74,6 @@ class ListenEndpointViolation(ContractViolation):
     operation = "TransferData"
 
 
-class ScenarioAborted(FlowcheckError):
-    """A scenario step produced an outcome its script did not expect."""
-
-    def __init__(self, step_index: int, actual: str):
-        super().__init__(f"step {step_index}: unexpected outcome: {actual}")
-        self.step_index = step_index
-        self.actual = actual
-
-
 class ContainmentUndefined(FlowcheckError):
     """CIDR containment asked for an address wider than the block."""
 

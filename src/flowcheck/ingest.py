@@ -215,6 +215,9 @@ def _parse_selector(node, where: str, warnings: list) -> dict:
     labels = _require_mapping(node.get("matchLabels", {}), f"{where}.matchLabels")
     if not all(isinstance(key, str) and isinstance(item, str) for key, item in labels.items()):
         raise MalformedYaml(f"{where}.matchLabels: matchLabels entries must map strings to strings")
+    for key, item in labels.items():
+        if not item:
+            raise MalformedYaml(f"{where}.matchLabels: empty value for label {key!r}")
     return dict(labels)
 
 

@@ -6,6 +6,9 @@ deny-by-default existential check the scenario engine builds on.  Semantic
 treats policy endpoints as selectors the way a CNI evaluates them: CIDR
 containment for addresses, name equality for namespaces, exact match for
 ports and labels; absent policy fields constrain nothing.
+
+``evaluate`` decides a flow (allow or deny plus a witness); ``explain``
+alone fills ``MatchVerdict.failed_predicates`` with why a denial failed.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ class MatchMode(Enum):
 class MatchVerdict:
     """Outcome of evaluating a transfer against a policy set.
 
-    On denial, failed_predicates holds one (policy, predicate) entry per
-    policy in canonical order, naming the first predicate that failed.
+    failed_predicates is filled only from explain, for a denial: one
+    (policy, first failed predicate) entry per policy in canonical order.
     """
 
     allowed: bool
@@ -127,15 +130,12 @@ def policy_permits(policy: Policy, sender_ep: Endpoint, receiver_ep: Endpoint, m
 
 def _first_failure(policy: Policy, sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode) -> Optional[str]:
     """Name of the first failing predicate for this policy, or None on match."""
-    assignment = _role_assignment(policy, sender_ep, receiver_ep)
-    for role, spec, concrete in assignment:
+    for role, spec, concrete in _role_assignment(policy, sender_ep, receiver_ep):
         failed = _mismatch(spec, concrete, mode)
         if failed is None:
             continue
-        # if swapping the concrete endpoints would satisfy the policy, the
-        # flow is merely going against the policy's direction
-        swapped = ((assignment[0][1], assignment[1][2]), (assignment[1][1], assignment[0][2]))
-        if all(endpoint_matches(s, c, mode) for s, c in swapped):
+        # a policy that permits the reverse flow is only against its direction
+        if policy_permits(policy, receiver_ep, sender_ep, mode):
             return "direction-orientation"
         return f"{role}.{failed}"
     return None
@@ -157,14 +157,21 @@ def evaluate(
     """Existential check over the policy set.
 
     Allowed iff at least one policy permits the transfer; the witness is
-    the lowest permitting policy in the canonical serialization order, so
-    the verdict is stable under permutation of the input.
+    the lowest permitting policy in canonical order, so the verdict is
+    stable under permutation of the input.  Denials carry no reasons.
     """
-    ordered = sorted(policies, key=_policy_sort_key)
-    failures = []
-    for policy in ordered:
-        failed = _first_failure(policy, sender_ep, receiver_ep, mode)
-        if failed is None:
-            return MatchVerdict(allowed=True, matched_policy=policy)
-        failures.append((policy, failed))
-    return MatchVerdict(allowed=False, failed_predicates=tuple(failures))
+    permitting = [p for p in policies if policy_permits(p, sender_ep, receiver_ep, mode)]
+    if not permitting:
+        return MatchVerdict(allowed=False)
+    return MatchVerdict(allowed=True, matched_policy=min(permitting, key=_policy_sort_key))
+
+
+def explain(
+    policies: Iterable[Policy], sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode
+) -> tuple[tuple[Policy, str], ...]:
+    """Why a denied transfer fails: one (policy, first failed predicate)
+    entry per policy, in the canonical order evaluate picks witnesses by."""
+    return tuple(
+        (policy, _first_failure(policy, sender_ep, receiver_ep, mode))
+        for policy in sorted(policies, key=_policy_sort_key)
+    )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import IntEnum
 from typing import Mapping, Optional
 
@@ -169,6 +170,11 @@ class Policy:
         except ValueError:
             raise ValueError(f"direction must be 0 (ingress) or 1 (egress), got {self.direction!r}")
 
+    @cached_property
+    def canonical_text(self) -> str:
+        """Canonical JSON text of (pair, direction), computed on first use."""
+        return json.dumps(policy_to_dict(self), sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class Application:
@@ -285,7 +291,7 @@ def canonical_endpoint_text(ep: Endpoint) -> str:
 
 
 def canonical_policy_text(policy: Policy) -> str:
-    return json.dumps(policy_to_dict(policy), sort_keys=True, separators=(",", ":"))
+    return policy.canonical_text
 
 
 def describe_endpoint(ep: Endpoint) -> str:

@@ -21,11 +21,10 @@ from .errors import (
     ListenEndpointViolation,
     PolicyViolation,
     ReceiverUnknown,
-    ScenarioAborted,
     SenderReceiveOnly,
     SenderUnknown,
 )
-from .matching import MatchMode, MatchVerdict, evaluate
+from .matching import MatchMode, MatchVerdict, evaluate, explain
 from .model import (
     Application,
     Direction,
@@ -124,7 +123,7 @@ def transfer_data(
     if not verdict.allowed:
         raise PolicyViolation(
             f"no policy permits {describe_endpoint(sender.send_endpoint)} -> {describe_endpoint(rep)}",
-            verdict=verdict,
+            verdict=replace(verdict, failed_predicates=explain(state.policies, sender.send_endpoint, rep, mode)),
         )
     receiver = next((app for app in state.applications if app.app_id == rapp), None)
     if receiver is None:
@@ -265,14 +264,12 @@ def run_scenario(
     mode: MatchMode = MatchMode.STRICT,
     initial_state: Optional[SystemState] = None,
     check_listen: bool = False,
-    raise_on_unexpected: bool = False,
 ) -> ScenarioReport:
     """Execute steps in order against a fresh (or given) system.
 
     A step expecting a violation passes iff the operation fails with the
     named contract; execution continues past expected failures and halts
-    at the first unexpected outcome (raising ScenarioAborted instead when
-    raise_on_unexpected is set).
+    at the first unexpected outcome.
     """
     state = new_system() if initial_state is None else initial_state
     outcomes = []
@@ -299,8 +296,6 @@ def run_scenario(
         )
         if not matched:
             passed = False
-            if raise_on_unexpected:
-                raise ScenarioAborted(index, actual)
             break
     return ScenarioReport(
         steps_run=len(outcomes), outcomes=tuple(outcomes), passed=passed, final_state=state

@@ -3,12 +3,14 @@
 Nothing here calls into the matching or scenario engines; containment is
 answered by bitmask enumeration (or the stdlib ipaddress module where
 enumeration is infeasible) and transfer permission by literally walking
-the policy set with structural equality.
+the policy set with structural equality (strict mode) or field-by-field
+constraints (semantic mode).
 """
 
 from __future__ import annotations
 
 import ipaddress
+import json
 import random
 
 from flowcheck import (
@@ -20,6 +22,7 @@ from flowcheck import (
     Policy,
     SystemState,
 )
+from flowcheck.model import policy_to_dict
 
 
 def block_addresses(block: Cidr) -> set[int]:
@@ -56,6 +59,53 @@ def transfer_precondition_holds(state: SystemState, sender: Application, rep: En
         if policy.pair == (send, rep) and int(policy.direction) == 1:
             return True
     return False
+
+
+# The sentinel rule: a field holding exactly its sentinel value (CIDR
+# 0.0.0.0/0, namespace "-" with id 0, port 0, label "") constrains nothing.
+_SENTINELS = (Cidr(0, 0, 0, 0, 0), Namespace("-", 0), 0, "")
+
+
+def _present_fields(ep: Endpoint):
+    """(cidr, namespace, port, label), each sentinel or absent field as None."""
+    fields = (ep.cidr, ep.namespace, ep.port, ep.label)
+    return tuple(None if value == sentinel else value for value, sentinel in zip(fields, _SENTINELS))
+
+
+def _endpoint_permits(spec: Endpoint, concrete: Endpoint, semantic: bool) -> bool:
+    spec_fields, concrete_fields = _present_fields(spec), _present_fields(concrete)
+    if not semantic:
+        return spec_fields == concrete_fields
+    (s_cidr, s_ns, s_port, s_label), (c_cidr, c_ns, c_port, c_label) = spec_fields, concrete_fields
+    if s_cidr is not None and (c_cidr is None or not contains_by_ipaddress(s_cidr, c_cidr)):
+        return False
+    if s_ns is not None and (c_ns is None or c_ns.name != s_ns.name):
+        return False
+    if s_port is not None and c_port != s_port:
+        return False
+    return s_label is None or c_label == s_label
+
+
+def permits(policy: Policy, sender: Endpoint, receiver: Endpoint, mode) -> bool:
+    """Does this one policy permit sender -> receiver?  Ingress pairs read
+    (receiver, sender), egress pairs (sender, receiver).  Strict mode asks
+    for equal present fields; semantic mode treats the policy's present
+    fields as constraints: CIDR containment (a wider concrete block is
+    never contained), namespace name, port and label equality."""
+    if int(policy.direction) == 0:
+        wanted = (receiver, sender)
+    else:
+        wanted = (sender, receiver)
+    semantic = mode.value == "semantic"
+    return all(_endpoint_permits(spec, ep, semantic) for spec, ep in zip(policy.pair, wanted))
+
+
+def canonical_rank(policy: Policy):
+    """The witness order: the policy's compact, key-sorted JSON text, then
+    its origin as ``document#rule_index`` ("" when it has none)."""
+    origin = policy.origin
+    text = json.dumps(policy_to_dict(policy), sort_keys=True, separators=(",", ":"))
+    return text, "" if origin is None else f"{origin.document}#{origin.rule_index}"
 
 
 def state_fingerprint(state: SystemState):

@@ -254,6 +254,29 @@ spec:
       toPorts: [{ports: [{port: "\u00b2"}]}]
 """
 
+# an empty label value would select every label (app) or fall back to the
+# document's namespace (io.kubernetes.pod.namespace)
+POLICY_WITH_EMPTY_APP_LABEL = """\
+apiVersion: cilium.io/v2
+kind: CiliumNetworkPolicy
+metadata: {name: P, namespace: NS-UI}
+spec:
+  endpointSelector: {matchLabels: {app: ""}}
+  ingress:
+    - fromCIDRSet: [{cidr: 10.28.1.0/24}]
+      toPorts: [{ports: [{port: "443"}]}]
+"""
+
+POLICY_WITH_EMPTY_NAMESPACE_LABEL = """\
+apiVersion: cilium.io/v2
+kind: CiliumNetworkPolicy
+metadata: {name: P, namespace: NS-UI}
+spec:
+  endpointSelector: {matchLabels: {app: WebUI}}
+  ingress:
+    - fromEndpoints: [{matchLabels: {app: Client, io.kubernetes.pod.namespace: ""}}]
+"""
+
 # name -> (arguments, file content); a file holding the content, if any,
 # is appended to the arguments
 MALFORMED_INPUTS = {
@@ -288,6 +311,12 @@ MALFORMED_INPUTS = {
         "endpoints:\n  a: {label: A}\napplications:\n  - {id: 0x" + "f" * 4000 + ", send: a}\n"),
     "explain-port-past-digit-limit": (["explain", "label=x", "port=" + "9" * 5000], None),
     "scenario-deep-nesting": (["check", "--scenario"], "steps: " + "[" * 700 + "]" * 700 + "\n"),
+    "policy-empty-app-label": (
+        ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=Database,port=443",
+         "--mode", "semantic", "--policies"], POLICY_WITH_EMPTY_APP_LABEL),
+    "policy-empty-namespace-label": (
+        ["explain", "namespace=NS-UI,label=Client", "namespace=NS-UI,label=WebUI", "--policies"],
+        POLICY_WITH_EMPTY_NAMESPACE_LABEL),
 }
 
 

@@ -23,6 +23,7 @@ from flowcheck import (
     cidr_contains,
     endpoint_matches,
     evaluate,
+    explain,
     policy_permits,
 )
 from oracles import contains_by_enumeration, contains_by_ipaddress
@@ -173,8 +174,9 @@ class TestEvaluate:
         policy = Policy(pair=(WEBUI_EP, OTHER_CLIENT_EP), direction=Direction.INGRESS)
         verdict = evaluate({policy}, CLIENT_EP, WEBUI_EP, STRICT)
         assert not verdict.allowed
-        assert len(verdict.failed_predicates) == 1
-        failed_policy, predicate = verdict.failed_predicates[0]
+        reasons = explain({policy}, CLIENT_EP, WEBUI_EP, STRICT)
+        assert len(reasons) == 1
+        failed_policy, predicate = reasons[0]
         assert failed_policy == policy
         assert predicate == "sender.cidr"
 
@@ -182,7 +184,7 @@ class TestEvaluate:
         policy = Policy(pair=(WEBUI_EP, CLIENT_EP), direction=Direction.INGRESS)
         verdict = evaluate({policy}, WEBUI_EP, CLIENT_EP, STRICT)
         assert not verdict.allowed
-        assert verdict.failed_predicates[0][1] == "direction-orientation"
+        assert explain({policy}, WEBUI_EP, CLIENT_EP, STRICT)[0][1] == "direction-orientation"
 
     def test_semantic_containment_predicate(self):
         policy = Policy(pair=(WEBUI_EP, CLIENT_EP), direction=Direction.INGRESS)
@@ -190,7 +192,7 @@ class TestEvaluate:
         receiver = Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI")
         verdict = evaluate({policy}, sender, receiver, SEMANTIC)
         assert not verdict.allowed
-        assert verdict.failed_predicates[0][1] == "sender.cidr-containment"
+        assert explain({policy}, sender, receiver, SEMANTIC)[0][1] == "sender.cidr-containment"
 
     def test_order_independence(self):
         policies = [

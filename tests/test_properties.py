@@ -17,17 +17,20 @@ from flowcheck import (
     MatchMode,
     Namespace,
     Policy,
+    PolicyOrigin,
     create_endpoint,
     create_policy,
     deploy_application,
     evaluate,
     expand_rules,
+    explain,
     new_system,
     parse_cilium_policy,
     policy_permits,
     send_data,
 )
 from flowcheck.model import normalized_fields
+from oracles import canonical_rank, permits
 
 # small pools keep collisions (and therefore matches) likely
 cidr_st = st.builds(
@@ -51,6 +54,7 @@ endpoint_st = st.builds(
 direction_st = st.sampled_from([Direction.INGRESS, Direction.EGRESS])
 policy_st = st.builds(Policy, pair=st.tuples(endpoint_st, endpoint_st), direction=direction_st)
 mode_st = st.sampled_from([MatchMode.STRICT, MatchMode.SEMANTIC])
+origin_st = st.none() | st.builds(PolicyOrigin, st.sampled_from(["doc-a", "doc-b"]), st.integers(0, 2))
 
 
 class TestMatchProperties:
@@ -103,6 +107,33 @@ class TestMatchProperties:
         shuffled = policies[:]
         rng.shuffle(shuffled)
         assert evaluate(shuffled, sender, receiver, mode) == baseline
+
+    @given(endpoint_st, endpoint_st, mode_st, st.data())
+    def test_evaluate_and_explain_agree_with_oracle(self, sender, receiver, mode, data):
+        # policy endpoints drawn partly from the flow's own endpoints, so
+        # that several policies often permit it, some structurally equal
+        # under different origins
+        flow_endpoint_st = st.sampled_from([sender, receiver]) | endpoint_st
+        flow_policy_st = st.builds(
+            Policy, pair=st.tuples(flow_endpoint_st, flow_endpoint_st), direction=direction_st
+        )
+        drawn = data.draw(
+            st.lists(st.tuples(flow_policy_st, st.lists(origin_st, min_size=1, max_size=3)), max_size=6)
+        )
+        policies = [Policy(p.pair, p.direction, origin) for p, origins in drawn for origin in origins]
+
+        verdict = evaluate(policies, sender, receiver, mode)
+        permitting = [p for p in policies if permits(p, sender, receiver, mode)]
+        assert verdict.allowed == bool(permitting)
+        if permitting:
+            witness = min(permitting, key=canonical_rank)
+            assert verdict.matched_policy == witness
+            assert verdict.matched_policy.origin == witness.origin
+        reasons = explain(policies, sender, receiver, mode)
+        expected = sorted(policies, key=canonical_rank)
+        assert [(p, p.origin) for p, _ in reasons] == [(p, p.origin) for p in expected]
+        if not permitting:
+            assert all(isinstance(predicate, str) for _, predicate in reasons)
 
     @given(st.lists(policy_st, max_size=6), endpoint_st, endpoint_st, mode_st)
     def test_verdict_invariants(self, policies, sender, receiver, mode):

@@ -22,7 +22,6 @@ from flowcheck import (
     Policy,
     PolicyViolation,
     ReceiverUnknown,
-    ScenarioAborted,
     ScenarioStep,
     SenderReceiveOnly,
     SenderUnknown,
@@ -260,15 +259,6 @@ class TestRunScenario:
         report = run_scenario(steps, MatchMode.STRICT)
         assert not report.passed
         assert report.steps_run == 2  # halted right after the duplicate
-
-    def test_raise_on_unexpected(self):
-        with pytest.raises(ScenarioAborted) as exc_info:
-            run_scenario(
-                client_flow_steps(Expectation(violation_of="TransferData")),
-                MatchMode.STRICT,
-                raise_on_unexpected=True,
-            )
-        assert exc_info.value.step_index == 5
 
     def test_expectation_kind_narrowing(self):
         exp = Expectation(violation_of="TransferData", kind="PolicyViolation")
