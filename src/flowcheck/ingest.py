@@ -75,9 +75,37 @@ class _StrictLoader(yaml.SafeLoader):
     silently keeping the last one."""
 
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+def _merged(loader, node, deep) -> dict:
+    """The entries a merge key (``<<: *a`` or ``<<: [*a, *b]``) brings in;
+    an earlier mapping in the list wins, as in PyYAML."""
+    sources = node.value if isinstance(node, yaml.SequenceNode) else [node]
+    merged: dict = {}
+    for source in reversed(sources):
+        # each source is constructed once (the loader caches it by node),
+        # not copied node by node, so chained merges cannot grow exponentially
+        value = loader.construct_object(source, deep=deep) if isinstance(source, yaml.MappingNode) else None
+        if not isinstance(value, dict):
+            raise yaml.constructor.ConstructorError(
+                None, None, "expected a mapping or list of mappings for merging", source.start_mark
+            )
+        merged.update(value)
+    return merged
+
+
 def _strict_mapping(loader, node, deep=False):
     mapping = {}
+    merged = None
     for key_node, value_node in node.value:
+        if key_node.tag == _MERGE_TAG:
+            if merged is not None:
+                raise yaml.constructor.ConstructorError(
+                    None, None, "duplicate mapping key '<<'", key_node.start_mark
+                )
+            merged = _merged(loader, value_node, deep)
+            continue
         key = loader.construct_object(key_node, deep=deep)
         if not isinstance(key, Hashable):
             raise yaml.constructor.ConstructorError(
@@ -88,7 +116,9 @@ def _strict_mapping(loader, node, deep=False):
                 None, None, f"duplicate mapping key {key!r}", key_node.start_mark
             )
         mapping[key] = loader.construct_object(value_node, deep=deep)
-    return mapping
+    # explicit keys override merged ones; only a key written twice
+    # explicitly is a duplicate
+    return mapping if merged is None else {**merged, **mapping}
 
 
 def _bounded_int(loader, node):
@@ -485,7 +515,6 @@ class ScenarioScript:
 
     steps: tuple[ScenarioStep, ...]
     mode: Optional[MatchMode] = None
-    declared_endpoints: Optional[Mapping[str, Endpoint]] = None
 
     def concrete_endpoints(self) -> set[Endpoint]:
         """Endpoints the script uses as application or target endpoints
@@ -572,7 +601,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
             }
         steps.append(ScenarioStep(action=action, arguments=args, expected=expected))
 
-    return ScenarioScript(steps=tuple(steps), mode=mode, declared_endpoints=dict(endpoints))
+    return ScenarioScript(steps=tuple(steps), mode=mode)
 
 
 # --- assembling systems and canonical policy dumps ---------------------------

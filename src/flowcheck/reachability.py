@@ -26,14 +26,11 @@ class ReachabilityMatrix:
     def sorted_keys(self):
         return sorted(self.entries, key=lambda k: (k[0], k[1], canonical_endpoint_text(k[2])))
 
-    def allowed(self):
-        """Allowed triples in deterministic order."""
-        return [key for key in self.sorted_keys() if self.entries[key].allowed]
-
 
 def compute_reachability(state: SystemState, mode: MatchMode) -> ReachabilityMatrix:
     """Evaluate every candidate flow in the system against its policies."""
     applications = sorted(state.applications, key=lambda app: app.app_id)
+    listen = {app.app_id: sorted(app.listen_endpoints, key=canonical_endpoint_text) for app in applications}
     entries = {}
     for sender in applications:
         if sender.receive_only:
@@ -41,7 +38,7 @@ def compute_reachability(state: SystemState, mode: MatchMode) -> ReachabilityMat
         for receiver in applications:
             if receiver.app_id == sender.app_id:
                 continue
-            for ep in sorted(receiver.listen_endpoints, key=canonical_endpoint_text):
+            for ep in listen[receiver.app_id]:
                 entries[(sender.app_id, receiver.app_id, ep)] = evaluate(
                     state.policies, sender.send_endpoint, ep, mode
                 )

@@ -42,6 +42,8 @@ from flowcheck import (
 from flowcheck.model import endpoint_to_dict
 
 from conftest import TEST_DATA
+from test_ingest import declared_endpoint
+from test_reachability import allowed_keys
 from oracles import (
     block_addresses,
     contains_by_ipaddress,
@@ -118,7 +120,7 @@ def test_criterion_2_command_flow_golden(scenario_texts):
     assert vreport.outcomes[-1].actual == "violation:TransferData/PolicyViolation"
     # the probed endpoint exists globally, belongs to no listener, and the
     # denial is the policy existential, never a missing-endpoint error
-    ep3 = violation.declared_endpoints["ep3"]
+    ep3 = declared_endpoint(violation, "ep3")
     assert ep3 in vreport.final_state.endpoints
 
     elapsed = time.perf_counter() - start
@@ -284,9 +286,9 @@ def test_criterion_8_reachability_golden(ui_policy_text, command_policy_text, to
     assert total == golden["total_entries"]
 
     matrix = compute_reachability(state, MatchMode.STRICT)
-    engine_allowed = [(s, r, endpoint_to_dict(ep)) for s, r, ep in matrix.allowed()]
+    engine_allowed = [(s, r, endpoint_to_dict(ep)) for s, r, ep in allowed_keys(matrix)]
     assert engine_allowed == golden_allowed
     assert len(matrix.entries) == golden["total_entries"]
-    assert {(s, r) for s, r, _ in matrix.allowed()} == {(1, 2), (2, 5), (5, 8)}
+    assert {(s, r) for s, r, _ in allowed_keys(matrix)} == {(1, 2), (2, 5), (5, 8)}
     assert names[1] == "Client" and names[2] == "WebUI" and names[5] == "Command" and names[8] == "Asset"
     _report(8, f"exactly 3 of {total} flows allowed, matching oracle and golden file")

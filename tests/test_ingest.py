@@ -27,6 +27,16 @@ from flowcheck import (
     policies_from_text,
     policies_to_text,
 )
+from flowcheck.cli import main
+
+
+def declared_endpoint(script, name):
+    """The endpoint a scenario's create_endpoint step declared under name."""
+    for step in script.steps:
+        args = step.arguments
+        if step.action == "create_endpoint" and args["name"] == name:
+            return Endpoint(args["cidr"], args["namespace"], args["port"], args["label"])
+    raise KeyError(name)
 
 
 class TestParseCiliumPolicy:
@@ -253,6 +263,40 @@ class TestParseTopology:
         with pytest.raises(MalformedYaml):
             parse_topology("endpoints: {}\napplications: []\nextras: {}\n")
 
+    MERGED = """
+endpoints:
+  a: &base {namespace: NS-UI, port: 443, label: A}
+  b: {<<: *base, label: B}
+  c: {<<: [{cidr: 10.0.0.1/32, port: 80}, *base]}
+applications:
+  - &app {id: 1, send: a, listen: [a]}
+  - {<<: *app, id: 2, send: b}
+"""
+
+    def test_merge_keys_parse_as_flattened(self):
+        flattened = """
+endpoints:
+  a: {namespace: NS-UI, port: 443, label: A}
+  b: {namespace: NS-UI, port: 443, label: B}
+  c: {cidr: 10.0.0.1/32, port: 80, namespace: NS-UI, label: A}
+applications:
+  - {id: 1, send: a, listen: [a]}
+  - {id: 2, send: b, listen: [a]}
+"""
+        assert parse_topology(self.MERGED) == parse_topology(flattened)
+
+    def test_explicit_duplicate_beside_merge_rejected(self):
+        with pytest.raises(MalformedYaml, match="duplicate mapping key 'label'"):
+            parse_topology(self.MERGED.replace("label: B}", "label: B, label: C}"))
+
+    def test_merge_of_scalar_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "topology.yaml"
+        path.write_text("endpoints:\n  a: {<<: 5}\n", encoding="utf-8")
+        assert main(["reachability", "--topology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[0]]
+        assert "Traceback" not in err
+
 
 class TestParseScenario:
     def test_client_flow_steps(self, scenario_texts):
@@ -270,9 +314,9 @@ class TestParseScenario:
         ]
         assert script.steps[-1].expected.ok
         # sentinels normalized at parse time
-        ep1 = script.declared_endpoints["ep1"]
+        ep1 = declared_endpoint(script, "ep1")
         assert ep1 == Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
-        ep2 = script.declared_endpoints["ep2"]
+        ep2 = declared_endpoint(script, "ep2")
         assert ep2 == Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI")
 
     def test_violation_scenarios_expect_deny(self, scenario_texts):
@@ -304,7 +348,7 @@ class TestParseScenario:
         script = parse_scenario(
             "steps:\n  - create_endpoint: {name: e, namespace: NS-A, port: 0}\n"
         )
-        assert script.declared_endpoints["e"] == Endpoint(namespace=Namespace("NS-A", 1))
+        assert declared_endpoint(script, "e") == Endpoint(namespace=Namespace("NS-A", 1))
 
     def test_all_sentinel_endpoint_rejected(self):
         text = 'steps:\n  - create_endpoint: {name: e, cidr: 0.0.0.0/0, namespace: "-", port: 0, label: ""}\n'
@@ -320,13 +364,13 @@ class TestParseScenario:
         script = parse_scenario(
             "steps:\n  - create_endpoint: {name: e, namespace: {name: NS-A, id: 4}}\n"
         )
-        assert script.declared_endpoints["e"].namespace == Namespace("NS-A", 4)
+        assert declared_endpoint(script, "e").namespace == Namespace("NS-A", 4)
 
     def test_concrete_endpoints_collects_usage(self, scenario_texts):
         script = parse_scenario(scenario_texts["client_to_webui"])
         used = script.concrete_endpoints()
-        assert script.declared_endpoints["ep1"] in used
-        assert script.declared_endpoints["ep2"] in used
+        assert declared_endpoint(script, "ep1") in used
+        assert declared_endpoint(script, "ep2") in used
 
     def test_mode_optional(self):
         script = parse_scenario("steps: []\n")

@@ -24,6 +24,8 @@ from flowcheck import (
     endpoint_matches,
     evaluate,
     explain,
+    create_policy,
+    new_system,
     policy_permits,
 )
 from oracles import contains_by_enumeration, contains_by_ipaddress
@@ -228,3 +230,49 @@ class TestEvaluate:
             MatchVerdict(allowed=True, matched_policy=policy, failed_predicates=((policy, "x"),))
         with pytest.raises(ValueError):
             MatchVerdict(allowed=False, matched_policy=policy)
+
+
+class TestIndexFreshness:
+    WEBUI_FROM_CLIENT = Policy(pair=(WEBUI_EP, CLIENT_EP), direction=Direction.INGRESS)
+    COMMAND_TO_ASSET = Policy(pair=(COMMAND_EP, ASSET_EP), direction=Direction.EGRESS)
+
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_new_state_sees_created_policy(self, mode):
+        state, _ = create_policy(new_system(), COMMAND_EP, ASSET_EP, Direction.EGRESS)
+        assert not evaluate(state.policies, CLIENT_EP, WEBUI_EP, mode).allowed
+        new_state, policy = create_policy(state, WEBUI_EP, CLIENT_EP, Direction.INGRESS)
+        verdict = evaluate(new_state.policies, CLIENT_EP, WEBUI_EP, mode)
+        assert verdict.allowed and verdict.matched_policy == policy
+        assert not evaluate(state.policies, CLIENT_EP, WEBUI_EP, mode).allowed
+        assert [p for p, _ in explain(new_state.policies, CLIENT_EP, WEBUI_EP, mode)] == [
+            p for p, _ in explain(list(new_state.policies), CLIENT_EP, WEBUI_EP, mode)
+        ]
+
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_mutated_list_never_answered_stale(self, mode):
+        policies = [self.COMMAND_TO_ASSET]
+        assert not evaluate(policies, CLIENT_EP, WEBUI_EP, mode).allowed
+        policies.append(self.WEBUI_FROM_CLIENT)
+        assert evaluate(policies, CLIENT_EP, WEBUI_EP, mode).matched_policy == self.WEBUI_FROM_CLIENT
+        assert [p for p, _ in explain(policies, CLIENT_EP, WEBUI_EP, mode)] == sorted(
+            policies, key=lambda p: p.canonical_text
+        )
+        policies.remove(self.WEBUI_FROM_CLIENT)
+        assert not evaluate(policies, CLIENT_EP, WEBUI_EP, mode).allowed
+        assert len(explain(policies, CLIENT_EP, WEBUI_EP, mode)) == 1
+
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_frozenset_and_list_agree(self, mode):
+        policies = [
+            self.WEBUI_FROM_CLIENT,
+            self.COMMAND_TO_ASSET,
+            Policy(pair=(WEBUI_EP, Endpoint(cidr=Cidr(10, 28, 1, 0, 24))), direction=Direction.INGRESS),
+            Policy(pair=(WEBUI_EP, OTHER_CLIENT_EP), direction=Direction.INGRESS),
+        ]
+        frozen = frozenset(policies)
+        endpoints = [CLIENT_EP, WEBUI_EP, OTHER_CLIENT_EP, COMMAND_EP, ASSET_EP,
+                     Endpoint(cidr=Cidr(10, 28, 1, 9, 32)), Endpoint(cidr=Cidr(10, 29, 1, 20, 32), port=5443)]
+        for sender in endpoints:
+            for receiver in endpoints:
+                assert evaluate(frozen, sender, receiver, mode) == evaluate(policies, sender, receiver, mode)
+                assert explain(frozen, sender, receiver, mode) == explain(policies, sender, receiver, mode)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import yaml
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -29,6 +32,7 @@ from flowcheck import (
     policy_permits,
     send_data,
 )
+from flowcheck.matching import PolicyIndex
 from flowcheck.model import normalized_fields
 from oracles import canonical_rank, permits
 
@@ -43,13 +47,23 @@ cidr_st = st.builds(
 )
 namespace_st = st.builds(Namespace, st.sampled_from(["NS-UI", "NS-Command", "-"]), st.integers(0, 1))
 
-endpoint_st = st.builds(
-    dict,
-    cidr=st.none() | cidr_st,
-    namespace=st.none() | namespace_st,
-    port=st.none() | st.sampled_from([443, 5443]),
-    label=st.none() | st.sampled_from(["WebUI", "Command", ""]),
-).filter(lambda d: any(v is not None for v in d.values())).map(lambda d: Endpoint(**d))
+
+def endpoints_with(cidrs):
+    return st.builds(
+        dict,
+        cidr=st.none() | cidrs,
+        namespace=st.none() | namespace_st,
+        port=st.none() | st.sampled_from([443, 5443]),
+        label=st.none() | st.sampled_from(["WebUI", "Command", ""]),
+    ).filter(lambda d: any(v is not None for v in d.values())).map(lambda d: Endpoint(**d))
+
+
+endpoint_st = endpoints_with(cidr_st)
+# every prefix length, so blocks nest in and contain each other
+wide_endpoint_st = endpoints_with(st.builds(
+    Cidr, st.just(10), st.integers(28, 29), st.integers(0, 1), st.sampled_from([0, 2, 4, 16, 255]),
+    st.integers(0, 32),
+))
 
 direction_st = st.sampled_from([Direction.INGRESS, Direction.EGRESS])
 policy_st = st.builds(Policy, pair=st.tuples(endpoint_st, endpoint_st), direction=direction_st)
@@ -134,6 +148,28 @@ class TestMatchProperties:
         assert [(p, p.origin) for p, _ in reasons] == [(p, p.origin) for p in expected]
         if not permitting:
             assert all(isinstance(predicate, str) for _, predicate in reasons)
+
+    @given(wide_endpoint_st, wide_endpoint_st, st.data())
+    def test_index_agrees_with_linear_scan(self, sender, receiver, data):
+        # policy endpoints drawn partly from the flow's own endpoints with
+        # their CIDR cut to other prefix lengths, repeated under origins
+        flow_endpoint_st = st.builds(
+            lambda ep, prefix: replace(ep, cidr=replace(ep.cidr, sig_bits=prefix)) if ep.cidr else ep,
+            st.sampled_from([sender, receiver]),
+            st.integers(0, 32),
+        ) | wide_endpoint_st
+        flow_policy_st = st.builds(
+            Policy, pair=st.tuples(flow_endpoint_st, flow_endpoint_st), direction=direction_st
+        )
+        drawn = data.draw(
+            st.lists(st.tuples(flow_policy_st, st.lists(origin_st, min_size=1, max_size=3)), max_size=8)
+        )
+        policies = [Policy(p.pair, p.direction, origin) for p, origins in drawn for origin in origins]
+        index = PolicyIndex(policies)
+        for mode in MatchMode:
+            found = index.permitting(sender, receiver, mode)
+            expected = [p for p in policies if policy_permits(p, sender, receiver, mode)]
+            assert Counter(map(id, found)) == Counter(map(id, expected))
 
     @given(st.lists(policy_st, max_size=6), endpoint_st, endpoint_st, mode_st)
     def test_verdict_invariants(self, policies, sender, receiver, mode):

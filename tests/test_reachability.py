@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from flowcheck import matching, reachability
 from flowcheck import (
     Application,
     Cidr,
@@ -13,6 +14,7 @@ from flowcheck import (
     MatchMode,
     Message,
     Namespace,
+    Policy,
     PolicyViolation,
     SystemState,
     assemble_state,
@@ -23,6 +25,11 @@ from flowcheck import (
     parse_topology,
     transfer_data,
 )
+
+
+def allowed_keys(matrix):
+    """Allowed (sender, receiver, endpoint) triples in deterministic order."""
+    return [key for key in matrix.sorted_keys() if matrix.entries[key].allowed]
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +43,7 @@ def ics_state(ui_policy_text, command_policy_text, topology_text):
 def test_exactly_three_flows_allowed(ics_state):
     state, names = ics_state
     matrix = compute_reachability(state, MatchMode.STRICT)
-    allowed = {(s, r) for s, r, _ in matrix.allowed()}
+    allowed = {(s, r) for s, r, _ in allowed_keys(matrix)}
     assert allowed == {(1, 2), (2, 5), (5, 8)}
     assert names[1] == "Client" and names[2] == "WebUI"
     assert names[5] == "Command" and names[8] == "Asset"
@@ -46,7 +53,7 @@ def test_exactly_three_flows_allowed(ics_state):
 def test_allowed_endpoints_match_expected(ics_state):
     state, _ = ics_state
     matrix = compute_reachability(state, MatchMode.STRICT)
-    by_pair = {(s, r): ep for s, r, ep in matrix.allowed()}
+    by_pair = {(s, r): ep for s, r, ep in allowed_keys(matrix)}
     assert by_pair[(1, 2)] == Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI")
     assert by_pair[(2, 5)] == Endpoint(namespace=Namespace("NS-Command", 1), label="Command")
     assert by_pair[(5, 8)] == Endpoint(cidr=Cidr(10, 29, 1, 23, 28), port=5443)
@@ -55,7 +62,7 @@ def test_allowed_endpoints_match_expected(ics_state):
 def test_empty_policy_set_denies_all(topology_text):
     state, _ = assemble_state((), parse_topology(topology_text))
     matrix = compute_reachability(state, MatchMode.STRICT)
-    assert matrix.allowed() == []
+    assert allowed_keys(matrix) == []
     assert len(matrix.entries) == 37
 
 
@@ -129,5 +136,33 @@ def test_semantic_mode_with_host_topology(ui_policy_text):
     )
     strict = compute_reachability(state, MatchMode.STRICT)
     semantic = compute_reachability(state, MatchMode.SEMANTIC)
-    assert strict.allowed() == []
-    assert {(s, r) for s, r, _ in semantic.allowed()} == {(1, 2)}
+    assert allowed_keys(strict) == []
+    assert {(s, r) for s, r, _ in allowed_keys(semantic)} == {(1, 2)}
+
+
+@pytest.mark.parametrize("mode", [MatchMode.STRICT, MatchMode.SEMANTIC])
+def test_one_index_build_and_one_sort_per_endpoint(mode, monkeypatch):
+    # 12 apps with 3 listen endpoints each, each reachable from the previous
+    # app: 396 entries over 36 endpoints
+    builds, texts = [], []
+    build_table, endpoint_text = matching._build_table, reachability.canonical_endpoint_text
+    monkeypatch.setattr(matching, "_build_table", lambda *args: builds.append(args[1]) or build_table(*args))
+    monkeypatch.setattr(reachability, "canonical_endpoint_text", lambda ep: texts.append(ep) or endpoint_text(ep))
+    apps, policies = [], []
+    for aid in range(12):
+        send = Endpoint(cidr=Cidr(10, 0, aid, 1, 32))
+        listen = {Endpoint(namespace=Namespace(f"NS-{aid}", 1), port=port) for port in (80, 443, 8080)}
+        apps.append(Application(app_id=aid, send_endpoint=send, listen_endpoints=listen))
+        previous = Endpoint(cidr=Cidr(10, 0, (aid - 1) % 12, 1, 32))
+        policies += [Policy(pair=(ep, previous), direction=0) for ep in listen]
+    state = SystemState(
+        applications=apps,
+        policies=policies,
+        endpoints={ep for app in apps for ep in {app.send_endpoint, *app.listen_endpoints}},
+        app_data={app.app_id: () for app in apps},
+    )
+    matrix = compute_reachability(state, mode)
+    assert len(matrix.entries) == 12 * 11 * 3
+    assert sum(verdict.allowed for verdict in matrix.entries.values()) == 12 * 3
+    assert builds == [mode]
+    assert len(texts) == 12 * 3
