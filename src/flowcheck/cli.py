@@ -161,8 +161,7 @@ def cmd_reachability(args) -> int:
 
     if args.format == "json":
         entries = []
-        for sid, rid, ep in matrix.sorted_keys():
-            verdict = matrix.entries[(sid, rid, ep)]
+        for (sid, rid, ep), verdict in matrix.entries.items():
             entry = {
                 "sender": sid,
                 "receiver": rid,
@@ -179,8 +178,7 @@ def cmd_reachability(args) -> int:
         print(json.dumps({"mode": mode.value, "entries": entries}, indent=2))
     else:
         rows = []
-        for sid, rid, ep in matrix.sorted_keys():
-            verdict = matrix.entries[(sid, rid, ep)]
+        for (sid, rid, ep), verdict in matrix.entries.items():
             rows.append(
                 (
                     app_label(sid),

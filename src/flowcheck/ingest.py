@@ -22,6 +22,7 @@ filtered: a 0.0.0.0/0 CIDR in a rule is a real match-everything block.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Hashable
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
@@ -238,6 +239,21 @@ class CiliumPolicyDoc:
     warnings: tuple[str, ...] = ()
 
 
+# Kubernetes label syntax: a value, and the name part of a key, is 1 to 63
+# characters, alphanumeric at both ends with "-", "_" and "." between; a key
+# may start with a DNS-subdomain prefix and "/".  Neither can hold "," or
+# "=", so the label string _selector_parts folds them into is unambiguous.
+_LABEL_NAME = re.compile(r"[A-Za-z0-9]([-A-Za-z0-9_.]{0,61}[A-Za-z0-9])?")
+_DNS_SUBDOMAIN = re.compile(r"[a-z0-9]([-a-z0-9]*[a-z0-9])?(\.[a-z0-9]([-a-z0-9]*[a-z0-9])?)*")
+
+
+def _is_label_key(key: str) -> bool:
+    prefix, slash, name = key.rpartition("/")
+    if slash and not (len(prefix) <= 253 and _DNS_SUBDOMAIN.fullmatch(prefix)):
+        return False
+    return _LABEL_NAME.fullmatch(name) is not None
+
+
 def _parse_selector(node, where: str, warnings: list) -> dict:
     """The matchLabels map of an endpointSelector or fromEndpoints entry."""
     node = _require_mapping(node, where)
@@ -246,8 +262,10 @@ def _parse_selector(node, where: str, warnings: list) -> dict:
     if not all(isinstance(key, str) and isinstance(item, str) for key, item in labels.items()):
         raise MalformedYaml(f"{where}.matchLabels: matchLabels entries must map strings to strings")
     for key, item in labels.items():
-        if not item:
-            raise MalformedYaml(f"{where}.matchLabels: empty value for label {key!r}")
+        if not _is_label_key(key):
+            raise MalformedYaml(f"{where}.matchLabels: invalid label key {key!r}")
+        if not _LABEL_NAME.fullmatch(item):
+            raise MalformedYaml(f"{where}.matchLabels: invalid value {item!r} for label {key!r}")
     return dict(labels)
 
 

@@ -207,8 +207,8 @@ class Message:
 class SystemState:
     """The global system: applications, policies, endpoints, received data.
 
-    Immutable; operations produce new states.  app_data maps each deployed
-    app_id to the ordered sequence of messages it has received.
+    Immutable; operations produce new states.  app_data holds one log per
+    application, ``()`` unless given: the messages it has received, in order.
     """
 
     applications: frozenset[Application] = frozenset()
@@ -220,15 +220,16 @@ class SystemState:
         object.__setattr__(self, "applications", frozenset(self.applications))
         object.__setattr__(self, "policies", frozenset(self.policies))
         object.__setattr__(self, "endpoints", frozenset(self.endpoints))
-        object.__setattr__(
-            self, "app_data", {aid: tuple(msgs) for aid, msgs in dict(self.app_data).items()}
-        )
-        ids = [app.app_id for app in self.applications]
-        if len(ids) != len(set(ids)):
+        ids = {app.app_id for app in self.applications}
+        if len(ids) != len(self.applications):
             raise ValueError("applications must have unique app_ids")
-        stray = set(self.app_data) - set(ids)
+        logs = {aid: tuple(msgs) for aid, msgs in dict(self.app_data).items()}
+        stray = logs.keys() - ids
         if stray:
             raise ValueError(f"app_data keyed by unknown app_ids: {sorted(stray)}")
+        if len(logs) < len(ids):
+            logs = dict.fromkeys(sorted(ids), ()) | logs
+        object.__setattr__(self, "app_data", logs)
 
 
 def new_system() -> SystemState:

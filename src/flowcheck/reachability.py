@@ -14,7 +14,9 @@ class ReachabilityMatrix:
     """Verdict per (sender id, receiver id, receiver listen endpoint) triple.
 
     Covers every triple with sender != receiver and a sender that can
-    actually send (not receive-only).
+    actually send (not receive-only).  The entries of a matrix from
+    ``compute_reachability`` iterate ordered by (sender id, receiver id,
+    canonical endpoint text), the order the CLI prints them in.
     """
 
     entries: Mapping[tuple[int, int, Endpoint], MatchVerdict]
@@ -22,9 +24,6 @@ class ReachabilityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", dict(self.entries))
-
-    def sorted_keys(self):
-        return sorted(self.entries, key=lambda k: (k[0], k[1], canonical_endpoint_text(k[2])))
 
 
 def compute_reachability(state: SystemState, mode: MatchMode) -> ReachabilityMatrix:

@@ -74,7 +74,7 @@ def deploy_application(
     listen_endpoints=(),
     receive_only: bool = False,
 ) -> SystemState:
-    """Deploy an application and initialize its received-data log.
+    """Deploy an application; its received-data log starts empty.
 
     Raises DuplicateApplicationId if the id is taken.
     """
@@ -86,9 +86,7 @@ def deploy_application(
         listen_endpoints=frozenset(listen_endpoints),
         receive_only=receive_only,
     )
-    app_data = dict(state.app_data)
-    app_data[aid] = ()
-    return replace(state, applications=state.applications | {app}, app_data=app_data)
+    return replace(state, applications=state.applications | {app})
 
 
 def send_data(state, sid: int, rid: int, rep: Endpoint, mode=MatchMode.STRICT, check_listen=False):
@@ -142,11 +140,10 @@ class Expectation:
     """Expected step result: success, or a named contract violation.
 
     violation_of names the operation whose contract must fail (e.g.
-    "TransferData"); kind optionally narrows to one error class name.
+    "TransferData").
     """
 
     violation_of: Optional[str] = None
-    kind: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -155,18 +152,10 @@ class Expectation:
     def matches(self, error: Optional[ContractViolation]) -> bool:
         if error is None:
             return self.ok
-        if self.ok:
-            return False
-        if error.operation != self.violation_of:
-            return False
-        return self.kind is None or error.kind == self.kind
+        return error.operation == self.violation_of
 
     def __str__(self):
-        if self.ok:
-            return "ok"
-        if self.kind is None:
-            return f"violation:{self.violation_of}"
-        return f"violation:{self.violation_of}/{self.kind}"
+        return "ok" if self.ok else f"violation:{self.violation_of}"
 
 
 EXPECT_OK = Expectation()

@@ -277,6 +277,11 @@ spec:
     - fromEndpoints: [{matchLabels: {app: Client, io.kubernetes.pod.namespace: ""}}]
 """
 
+
+def _policy_with_selector(match_labels: str) -> str:
+    return POLICY_WITH_EMPTY_APP_LABEL.replace('{app: ""}', match_labels)
+
+
 # name -> (arguments, file content); a file holding the content, if any,
 # is appended to the arguments
 MALFORMED_INPUTS = {
@@ -317,6 +322,16 @@ MALFORMED_INPUTS = {
     "policy-empty-namespace-label": (
         ["explain", "namespace=NS-UI,label=Client", "namespace=NS-UI,label=WebUI", "--policies"],
         POLICY_WITH_EMPTY_NAMESPACE_LABEL),
+    # "A,tier=x" would fold into the same label string as {app: A, tier: x}
+    "policy-label-value-comma": (
+        ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=A,port=443", "--policies"],
+        _policy_with_selector('{app: "A,tier=x"}')),
+    "policy-label-key-equals": (
+        ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=A,port=443", "--policies"],
+        _policy_with_selector('{app: A, "tier=x": y}')),
+    "policy-label-value-too-long": (
+        ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=A,port=443", "--policies"],
+        _policy_with_selector("{app: " + "a" * 64 + "}")),
 }
 
 

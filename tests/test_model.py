@@ -9,6 +9,7 @@ from flowcheck import (
     Cidr,
     Direction,
     Endpoint,
+    Message,
     Namespace,
     Policy,
     PolicyOrigin,
@@ -19,6 +20,7 @@ from flowcheck import (
     new_system,
     normalize_fields,
     parse_cidr,
+    send_data,
 )
 from flowcheck.errors import InvalidCidrString
 from flowcheck.model import endpoint_from_dict, endpoint_to_dict, policy_from_dict, policy_to_dict
@@ -156,6 +158,19 @@ class TestSystemState:
     def test_app_data_keys_must_exist(self):
         with pytest.raises(ValueError):
             SystemState(app_data={7: ()})
+
+    def test_every_application_has_a_log(self):
+        ep1, ep2 = Endpoint(label="a"), Endpoint(label="b")
+        a1 = Application(app_id=1, send_endpoint=ep1)
+        a2 = Application(app_id=2, send_endpoint=ep2, listen_endpoints={ep2})
+        policy = Policy(pair=(ep2, ep1), direction=Direction.INGRESS)
+        state = SystemState(applications={a1, a2}, policies={policy}, endpoints={ep1, ep2})
+        assert state.app_data == {1: (), 2: ()}
+        state, verdict = send_data(state, 1, 2, ep2)
+        assert verdict.allowed
+        assert state.app_data[1] == () and len(state.app_data[2]) == 1
+        msg = Message()
+        assert SystemState(applications={a1, a2}, app_data={2: [msg]}).app_data == {2: (msg,), 1: ()}
 
     def test_get_application(self):
         a1 = Application(app_id=1, send_endpoint=Endpoint(label="a"))

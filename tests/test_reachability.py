@@ -28,8 +28,13 @@ from flowcheck import (
 
 
 def allowed_keys(matrix):
-    """Allowed (sender, receiver, endpoint) triples in deterministic order."""
-    return [key for key in matrix.sorted_keys() if matrix.entries[key].allowed]
+    """Allowed (sender, receiver, endpoint) triples in the matrix's order."""
+    return [key for key, verdict in matrix.entries.items() if verdict.allowed]
+
+
+def output_order(matrix):
+    """The matrix keys sorted by (sender id, receiver id, canonical endpoint text)."""
+    return sorted(matrix.entries, key=lambda key: (key[0], key[1], canonical_endpoint_text(key[2])))
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +116,10 @@ def test_deterministic_across_policy_order(ui_policy_text, command_policy_text, 
         state, _ = assemble_state(shuffled, topology)
         matrix = compute_reachability(state, MatchMode.STRICT)
         snapshot = [
-            (s, r, canonical_endpoint_text(ep), matrix.entries[(s, r, ep)].allowed)
-            for s, r, ep in matrix.sorted_keys()
+            (s, r, canonical_endpoint_text(ep), verdict.allowed)
+            for (s, r, ep), verdict in matrix.entries.items()
         ]
+        assert list(matrix.entries) == output_order(matrix)
         if baseline is None:
             baseline = snapshot
         assert snapshot == baseline
@@ -163,6 +169,7 @@ def test_one_index_build_and_one_sort_per_endpoint(mode, monkeypatch):
     )
     matrix = compute_reachability(state, mode)
     assert len(matrix.entries) == 12 * 11 * 3
+    assert list(matrix.entries) == output_order(matrix)
     assert sum(verdict.allowed for verdict in matrix.entries.values()) == 12 * 3
     assert builds == [mode]
     assert len(texts) == 12 * 3

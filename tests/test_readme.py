@@ -1,0 +1,47 @@
+"""The README's examples run as written: the library quick start, and every
+``flowcheck`` command line, in process and from the repository root."""
+
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from flowcheck.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def _blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```", README, flags=re.MULTILINE | re.DOTALL)
+
+
+def _commands() -> list[list[str]]:
+    commands = []
+    for block in _blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words and words[0] == "flowcheck":
+                commands.append(words[1:])
+    return commands
+
+
+COMMANDS = _commands()
+
+
+def test_library_quick_start_runs():
+    (code,) = _blocks("python")
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_every_subcommand_has_an_example():
+    assert {args[0] for args in COMMANDS} == {"check", "reachability", "explain"}
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=[" ".join(args) for args in COMMANDS])
+def test_command_line_example_runs(args, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(args) in (0, 1), capsys.readouterr().err

@@ -261,9 +261,6 @@ class TestRunScenario:
         assert report.steps_run == 2  # halted right after the duplicate
 
     def test_expectation_kind_narrowing(self):
-        exp = Expectation(violation_of="TransferData", kind="PolicyViolation")
-        assert exp.matches(PolicyViolation("x")) is True
-        assert exp.matches(EndpointUnknown("x")) is False
         assert Expectation(violation_of="TransferData").matches(EndpointUnknown("x")) is True
         assert Expectation().matches(None) is True
 
