@@ -4,13 +4,15 @@ Three subcommands: ``check`` runs a scenario script against loaded
 policies and topology, ``reachability`` prints the all-pairs flow matrix,
 ``explain`` walks every policy for one sender/receiver pair and shows why
 it matched or failed.  Exit codes: 0 success/allowed, 1 expectation
-mismatch or denied, 2 parse or configuration errors.
+mismatch or denied, 2 parse or configuration errors, 141 when the reader of
+standard output closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -283,10 +285,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
     except FlowcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left (`| head`).  End quietly with the status a shell
+        # gives a process killed by SIGPIPE; stdout is pointed at devnull so
+        # the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

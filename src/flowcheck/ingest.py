@@ -13,6 +13,12 @@ Three input formats:
   four scenario actions keyed by name, referencing endpoints and policies
   by the symbolic names earlier steps declared.
 
+All three are loaded by ``_load_yaml``: PyYAML's libyaml loader when
+PyYAML has it, its pure-Python one otherwise, with the same strict
+constructors on either (no duplicate keys, ints of at most 64 bits) and a
+bound of ``MAX_NESTING`` levels on collection nesting, checked on the
+parser's events before anything is composed.
+
 Scenario and topology endpoint fields use sentinel values for
 "unconstrained" (cidr 0.0.0.0/0, namespace "-", port 0, empty label);
 those are normalized to absent here.  Policy documents are not sentinel
@@ -38,7 +44,7 @@ from .errors import (
     UnsupportedApiVersion,
     UnsupportedKind,
 )
-from .matching import MatchMode
+from .matching import MatchMode, _policy_sort_key
 from .model import (
     MAX_APP_ID,
     MAX_NAMESPACE_ID,
@@ -71,9 +77,21 @@ NAMESPACE_LABEL_KEY = "io.kubernetes.pod.namespace"
 DEFAULT_NAMESPACE_ID = 1
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys instead of
-    silently keeping the last one."""
+# libyaml's scanner, parser and composer when PyYAML was built with it (five
+# times faster on a 100 KB scenario), the pure-Python ones otherwise; the
+# constructors below run on either.
+_BASE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+# Deepest collection nesting a document may have.  libyaml's composer
+# recurses once per level and crashes the process far below Python's
+# recursion limit, so _load_yaml checks the depth on the parser's events
+# before composing; real files nest a few levels.
+MAX_NESTING = 100
+
+
+class _StrictLoader(_BASE_LOADER):
+    """Safe loader that rejects duplicate mapping keys instead of
+    silently keeping the last one, and ints wider than 64 bits."""
 
 
 _MERGE_TAG = "tag:yaml.org,2002:merge"
@@ -136,10 +154,27 @@ _StrictLoader.add_constructor(
 _StrictLoader.add_constructor("tag:yaml.org,2002:int", _bounded_int)
 
 
+_OPEN = (yaml.SequenceStartEvent, yaml.MappingStartEvent)
+_CLOSE = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
+
+
 def _load_yaml(text: str, what: str):
-    # Scalar constructors raise ValueError (e.g. on "2001-02-30"), and the
-    # composer recurses once per nesting level.
+    # The depth pass streams events and keeps no stack, so it rejects any
+    # depth without recursing.  Scalar constructors raise ValueError (e.g. on
+    # "2001-02-30"), and constructing a mapping recurses into aliased
+    # mappings not yet built, however shallow the text.
     try:
+        depth = 0
+        for event in yaml.parse(text, Loader=_BASE_LOADER):
+            if isinstance(event, _OPEN):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise MalformedYaml(
+                        f"{what}: collections nested deeper than {MAX_NESTING} levels\n"
+                        f"{event.start_mark}"
+                    )
+            elif isinstance(event, _CLOSE):
+                depth -= 1
         return yaml.load(text, Loader=_StrictLoader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise MalformedYaml(f"{what}: {exc}") from exc
@@ -629,7 +664,9 @@ def assemble_state(policies: Sequence[Policy] = (), topology=None):
     """Build a system from ingested parts.
 
     Registers topology endpoints, deploys its applications, then installs
-    the policies (set semantics, structural duplicates collapse).  Returns
+    the policies (set semantics: of structural duplicates, the one with the
+    lowest origin in canonical order stays, whatever the input order, so
+    witnesses name the origin explain names).  Returns
     (state, {app_id: display name}).
     """
     state = new_system()
@@ -645,7 +682,9 @@ def assemble_state(policies: Sequence[Policy] = (), topology=None):
             if record.name is not None:
                 names[record.app_id] = record.name
     if policies:
-        state = replace(state, policies=state.policies | frozenset(policies))
+        # a frozenset keeps the first of equal elements it is given
+        ranked = sorted(policies, key=_policy_sort_key)
+        state = replace(state, policies=state.policies | frozenset(ranked))
     return state, names
 
 

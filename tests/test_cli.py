@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -13,7 +16,7 @@ from flowcheck import Cidr, Endpoint, Namespace
 from flowcheck.errors import FlowcheckError
 from flowcheck.ingest import _ACTIONS, _APP_KEYS, _ENDPOINT_KEYS
 
-from conftest import DATA
+from conftest import DATA, REPO
 
 UI_POLICY = str(DATA / "policies" / "ui-policy.yaml")
 COMMAND_POLICY = str(DATA / "policies" / "command-policy.yaml")
@@ -139,6 +142,31 @@ class TestReachability:
         main(["reachability", "--policies", COMMAND_POLICY, UI_POLICY, "--topology", TOPOLOGY])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_witness_independent_of_document_order(self, tmp_path, capsys):
+        # DocA and DocB hold the same rule, so their policies collapse to one
+        text = (DATA / "policies" / "ui-policy.yaml").read_text(encoding="utf-8")
+        docs = []
+        for name in ("DocA", "DocB"):
+            docs.append(tmp_path / f"{name}.yaml")
+            docs[-1].write_text(text.replace("UIPolicy", name), encoding="utf-8")
+        outputs = {}
+        for order in (docs, docs[::-1]):
+            for fmt in ("table", "json"):
+                main(["reachability", "--policies", *map(str, order), "--topology", TOPOLOGY,
+                      "--format", fmt])
+                outputs.setdefault(fmt, set()).add(capsys.readouterr().out)
+            main(["explain", "--policies", *map(str, order), "--",
+                  "cidr=10.28.1.2/30", "namespace=NS-UI,port=443,label=WebUI"])
+            outputs.setdefault("explain", set()).add(capsys.readouterr().out)
+        assert all(len(texts) == 1 for texts in outputs.values())
+        witness = outputs["explain"].pop().split("\n")[2]
+        assert witness == "[DocA#0] MATCH (ingress)"
+        assert "allow    DocA#0" in outputs["table"].pop()
+        allowed = [e for e in json.loads(outputs["json"].pop())["entries"] if e["allowed"]]
+        assert [e["matched_policy"]["origin"] for e in allowed] == [
+            {"document": "DocA", "rule_index": 0}
+        ]
 
     def test_missing_topology_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:
@@ -413,14 +441,48 @@ def test_hostile_files_never_raise(topology, scenario, sender, receiver, tmp_pat
         assert main(argv) in (0, 1, 2)
 
 
-def test_console_entry_point():
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, "-m", "flowcheck", "check", "--scenario", CLIENT_FLOW],
-        capture_output=True,
-        text=True,
+def _run_flowcheck(*args, **kwargs):
+    """``python -m flowcheck`` in a child process, importing this checkout."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "flowcheck", *args],
+        env={**os.environ, "PYTHONPATH": path}, **kwargs,
     )
+
+
+def test_console_entry_point():
+    result = _run_flowcheck("check", "--scenario", CLIENT_FLOW, capture_output=True, text=True)
     assert result.returncode == 0
     assert "PASSED" in result.stdout
+
+
+# In a child process, so a composer that recursed once per level and
+# crashed would fail these tests, not end the test run.
+@pytest.mark.parametrize("open_, close", [("[", "]"), ("{a: ", "}")], ids=["lists", "mappings"])
+@pytest.mark.parametrize(
+    "args",
+    [["explain", "label=x", "label=y", "--policies"], ["reachability", "--topology"],
+     ["check", "--scenario"]],
+    ids=["policy", "topology", "scenario"],
+)
+def test_deep_nesting_is_config_error(args, open_, close, tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text(open_ * 100_000 + close * 100_000, encoding="utf-8")
+    result = _run_flowcheck(*args, str(path), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.returncode  # a negative code is a signal
+    assert result.stderr.startswith("error:") and result.stderr.count("error:") == 1
+    assert "nested deeper than 100 levels" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_flowcheck(
+            "reachability", "--policies", UI_POLICY, "--topology", TOPOLOGY,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == ""
