@@ -30,6 +30,7 @@ from .matching import MatchMode, evaluate, explain
 from .model import (
     Direction,
     Endpoint,
+    PolicySet,
     canonical_endpoint_text,
     describe_endpoint,
     endpoint_to_dict,
@@ -204,14 +205,19 @@ def cmd_reachability(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    policies = _load_policies(args.policies)
+    policies = PolicySet(_load_policies(args.policies))
     sender = parse_endpoint_spec(args.sender)
     receiver = parse_endpoint_spec(args.receiver)
     mode = MatchMode(args.mode) if args.mode else MatchMode.STRICT
     if mode is MatchMode.SEMANTIC:
         _ensure_host_cidrs([sender, receiver], "sender/receiver endpoints")
     verdict = evaluate(policies, sender, receiver, mode)
-    reasons = () if verdict.allowed else explain(policies, sender, receiver, mode)
+    # one line per copy: every document a denying rule came from is named
+    reasons = () if verdict.allowed else [
+        (copy, predicate)
+        for policy, predicate in explain(policies, sender, receiver, mode)
+        for copy in policies.copies(policy)
+    ]
 
     if args.format == "json":
         doc = {

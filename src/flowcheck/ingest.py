@@ -22,7 +22,9 @@ parser's events before anything is composed.
 Scenario and topology endpoint fields use sentinel values for
 "unconstrained" (cidr 0.0.0.0/0, namespace "-", port 0, empty label);
 those are normalized to absent here.  Policy documents are not sentinel
-filtered: a 0.0.0.0/0 CIDR in a rule is a real match-everything block.
+filtered: a 0.0.0.0/0 CIDR in a rule is a real match-everything block,
+which ``expand_rules`` writes as its two /1 halves, since the model reads
+a /0 endpoint as "no address needed".
 """
 
 from __future__ import annotations
@@ -44,16 +46,18 @@ from .errors import (
     UnsupportedApiVersion,
     UnsupportedKind,
 )
-from .matching import MatchMode, _policy_sort_key
+from .matching import MatchMode
 from .model import (
     MAX_APP_ID,
     MAX_NAMESPACE_ID,
+    SENTINEL_CIDR,
     Cidr,
     Direction,
     Endpoint,
     Namespace,
     Policy,
     PolicyOrigin,
+    PolicySet,
     new_system,
     normalize_fields,
     parse_cidr,
@@ -402,6 +406,15 @@ def _selector_parts(match_labels: Mapping[str, str], namespace_key_special: bool
     return (",".join(parts) if parts else None), ns_name
 
 
+# the halves of 0.0.0.0/0: every address, but only an address
+_WORLD_HALVES = (Cidr(0, 0, 0, 0, 1), Cidr(128, 0, 0, 0, 1))
+
+
+def _blocks(cidrs: tuple[Cidr, ...]) -> list[Cidr]:
+    """A rule's CIDR set, with 0.0.0.0/0 split into its /1 halves."""
+    return [half for cidr in cidrs for half in (_WORLD_HALVES if cidr == SENTINEL_CIDR else (cidr,))]
+
+
 def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
     """Flatten one policy document into single-pair policies.
 
@@ -409,7 +422,8 @@ def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
     the selected endpoint (document namespace, selector label, the port)
     paired with the peer (a CIDR, or namespace+label from fromEndpoints).
     Each egress rule contributes one egress policy per (CIDR, port): the
-    selected endpoint without a port, paired with CIDR+port.
+    selected endpoint without a port, paired with CIDR+port.  A 0.0.0.0/0
+    block counts as its two /1 halves.
     """
     selected_ns = Namespace(doc.namespace, DEFAULT_NAMESPACE_ID)
     selector_label, _ = _selector_parts(doc.endpoint_selector, namespace_key_special=False)
@@ -417,7 +431,7 @@ def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
     policies: list[Policy] = []
     for rule_index, rule in enumerate(doc.ingress_rules):
         origin = PolicyOrigin(doc.name, rule_index)
-        peers = [Endpoint(cidr=cidr) for cidr in rule.from_cidr_set]
+        peers = [Endpoint(cidr=cidr) for cidr in _blocks(rule.from_cidr_set)]
         for labels in rule.from_endpoints:
             label, ns_override = _selector_parts(labels, namespace_key_special=True)
             peer_ns = Namespace(ns_override or doc.namespace, DEFAULT_NAMESPACE_ID)
@@ -431,7 +445,7 @@ def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
     for rule_index, rule in enumerate(doc.egress_rules, start=len(doc.ingress_rules)):
         origin = PolicyOrigin(doc.name, rule_index)
         selected = Endpoint(namespace=selected_ns, label=selector_label)
-        for cidr in rule.to_cidr_set:
+        for cidr in _blocks(rule.to_cidr_set):
             for port in rule.to_ports or (None,):
                 peer = Endpoint(cidr=cidr, port=port)
                 policies.append(
@@ -664,10 +678,9 @@ def assemble_state(policies: Sequence[Policy] = (), topology=None):
     """Build a system from ingested parts.
 
     Registers topology endpoints, deploys its applications, then installs
-    the policies (set semantics: of structural duplicates, the one with the
-    lowest origin in canonical order stays, whatever the input order, so
-    witnesses name the origin explain names).  Returns
-    (state, {app_id: display name}).
+    the policies as one PolicySet (of structural duplicates, the copy with
+    the lowest origin is the member, whatever the input order, and every
+    copy stays listed).  Returns (state, {app_id: display name}).
     """
     state = new_system()
     names: dict[int, str] = {}
@@ -681,11 +694,7 @@ def assemble_state(policies: Sequence[Policy] = (), topology=None):
             )
             if record.name is not None:
                 names[record.app_id] = record.name
-    if policies:
-        # a frozenset keeps the first of equal elements it is given
-        ranked = sorted(policies, key=_policy_sort_key)
-        state = replace(state, policies=state.policies | frozenset(ranked))
-    return state, names
+    return replace(state, policies=PolicySet(policies)), names
 
 
 def policies_to_text(policies: Sequence[Policy]) -> str:

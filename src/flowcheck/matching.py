@@ -10,9 +10,10 @@ ports and labels; absent policy fields constrain nothing.
 ``evaluate`` decides a flow (allow or deny plus a witness); ``explain``
 alone fills ``MatchVerdict.failed_predicates`` with why a denial failed.
 
-Both answer from a ``PolicyIndex``, which keys every policy on its
-oriented pair (sender spec, receiver spec) and builds one table per mode
-on the first query in that mode:
+Both answer from a ``PolicySet``; any other iterable is made into one
+for that call only.  Its members are keyed on their oriented pair
+(sender spec, receiver spec) in one table per mode, built on the set's
+first query in that mode and kept in ``PolicySet.tables``:
 
 * strict: one dict from the two specs' normalized field tuples to the
   policies with exactly those fields, so a lookup is the permitting set;
@@ -22,17 +23,12 @@ on the first query in that mode:
   lookup derives the concrete pair's key under each shape pair the set
   holds, skipping shapes the endpoint cannot satisfy (a missing field or
   a block wider than the prefix), so every hit permits the flow.
-
-The index of the last ``frozenset`` handed in is kept, so repeated queries
-on one ``SystemState.policies`` share it; any other iterable is indexed
-for that call only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import ContainmentUndefined
@@ -41,6 +37,7 @@ from .model import (
     Direction,
     Endpoint,
     Policy,
+    PolicySet,
     canonical_policy_text,
     normalized_fields,
 )
@@ -56,7 +53,8 @@ class MatchVerdict:
     """Outcome of evaluating a transfer against a policy set.
 
     failed_predicates is filled only from explain, for a denial: one
-    (policy, first failed predicate) entry per policy in canonical order.
+    (policy, first failed predicate) entry per member of the policy set,
+    in canonical order.
     """
 
     allowed: bool
@@ -159,16 +157,6 @@ def _first_failure(policy: Policy, sender_ep: Endpoint, receiver_ep: Endpoint, m
     return None
 
 
-def _policy_sort_key(policy: Policy):
-    # origin breaks ties between structurally equal policies so rendered
-    # provenance stays deterministic, not just the verdict
-    origin = policy.origin
-    return (
-        canonical_policy_text(policy),
-        "" if origin is None else f"{origin.document}#{origin.rule_index}",
-    )
-
-
 def _oriented(policy: Policy) -> tuple[Endpoint, Endpoint]:
     """(sender spec, receiver spec); ingress pairs are (receiver, sender)."""
     return policy.pair[::-1] if policy.direction is Direction.INGRESS else policy.pair
@@ -203,7 +191,7 @@ def _semantic_key(shape: tuple, fields) -> Optional[tuple]:
     )
 
 
-def _build_table(policies: tuple[Policy, ...], mode: MatchMode) -> dict:
+def _build_table(policies: PolicySet, mode: MatchMode) -> dict:
     """The mode's lookup table, laid out as the module docstring says."""
     table: dict = {}
     for policy in policies:
@@ -217,54 +205,27 @@ def _build_table(policies: tuple[Policy, ...], mode: MatchMode) -> dict:
     return table
 
 
-class PolicyIndex:
-    """One policy set, indexed for the existential check (see the module
-    docstring); a mode's table is built on the first query in that mode."""
-
-    def __init__(self, policies: Iterable[Policy]):
-        self._policies = tuple(policies)
-        self._tables: dict[MatchMode, dict] = {}
-
-    @cached_property
-    def ranked(self) -> tuple[Policy, ...]:
-        """The policies in the canonical order witnesses are picked by."""
-        return tuple(sorted(self._policies, key=_policy_sort_key))
-
-    def permitting(self, sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode) -> list[Policy]:
-        """Every policy that permits the transfer, exactly as policy_permits decides."""
-        table = self._tables.get(mode)
-        if table is None:
-            table = self._tables[mode] = _build_table(self._policies, mode)
-        sender, receiver = normalized_fields(sender_ep), normalized_fields(receiver_ep)
-        if mode is MatchMode.STRICT:
-            return list(table.get((sender, receiver), ()))
-        found = []
-        for (sender_shape, receiver_shape), keyed in table.items():
-            sender_key = _semantic_key(sender_shape, sender)
-            if sender_key is None:
-                continue
-            receiver_key = _semantic_key(receiver_shape, receiver)
-            if receiver_key is not None:
-                found += keyed.get((sender_key, receiver_key), ())
-        return found
+def _policy_set(policies: Iterable[Policy]) -> PolicySet:
+    return policies if isinstance(policies, PolicySet) else PolicySet(policies)
 
 
-# The last frozenset handed to evaluate or explain, with its index, as one
-# tuple replaced in a single assignment.  SystemState.policies is such a
-# frozenset, shared by every state derived from it without a policy write.
-# The slot holds the set itself, so its identity cannot pass to another.
-_last_index: tuple = (None, None)
-
-
-def _index_for(policies: Iterable[Policy]) -> PolicyIndex:
-    global _last_index
-    if type(policies) is not frozenset:
-        return PolicyIndex(policies)  # may be mutated between calls
-    cached, index = _last_index
-    if cached is not policies:
-        index = PolicyIndex(policies)
-        _last_index = (policies, index)
-    return index
+def permitting(policies: PolicySet, sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode) -> list[Policy]:
+    """Every member that permits the transfer, exactly as policy_permits decides."""
+    table = policies.tables.get(mode)
+    if table is None:
+        table = policies.tables[mode] = _build_table(policies, mode)
+    sender, receiver = normalized_fields(sender_ep), normalized_fields(receiver_ep)
+    if mode is MatchMode.STRICT:
+        return list(table.get((sender, receiver), ()))
+    found = []
+    for (sender_shape, receiver_shape), keyed in table.items():
+        sender_key = _semantic_key(sender_shape, sender)
+        if sender_key is None:
+            continue
+        receiver_key = _semantic_key(receiver_shape, receiver)
+        if receiver_key is not None:
+            found += keyed.get((sender_key, receiver_key), ())
+    return found
 
 
 def evaluate(
@@ -273,21 +234,23 @@ def evaluate(
     """Existential check over the policy set.
 
     Allowed iff at least one policy permits the transfer; the witness is
-    the lowest permitting policy in canonical order, so the verdict is
-    stable under permutation of the input.  Denials carry no reasons.
+    the lowest permitting member in canonical order (members differ in
+    their text, and each is its set's lowest-origin copy), so the verdict
+    is stable under permutation of the input.  Denials carry no reasons.
     """
-    permitting = _index_for(policies).permitting(sender_ep, receiver_ep, mode)
-    if not permitting:
+    found = permitting(_policy_set(policies), sender_ep, receiver_ep, mode)
+    if not found:
         return MatchVerdict(allowed=False)
-    return MatchVerdict(allowed=True, matched_policy=min(permitting, key=_policy_sort_key))
+    return MatchVerdict(allowed=True, matched_policy=min(found, key=canonical_policy_text))
 
 
 def explain(
     policies: Iterable[Policy], sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode
 ) -> tuple[tuple[Policy, str], ...]:
     """Why a denied transfer fails: one (policy, first failed predicate)
-    entry per policy, in the canonical order evaluate picks witnesses by."""
+    entry per member of the policy set, in the canonical order evaluate
+    picks witnesses by.  PolicySet.copies gives each member's origins."""
     return tuple(
         (policy, _first_failure(policy, sender_ep, receiver_ep, mode))
-        for policy in _index_for(policies).ranked
+        for policy in _policy_set(policies).ranked
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import IntEnum
@@ -176,6 +177,70 @@ class Policy:
         return json.dumps(policy_to_dict(self), sort_keys=True, separators=(",", ":"))
 
 
+def _origin_rank(policy: Policy) -> str:
+    # orders structurally equal copies; with the canonical text it is the
+    # canonical (text, origin) order witnesses and explanations follow
+    origin = policy.origin
+    return "" if origin is None else f"{origin.document}#{origin.rule_index}"
+
+
+class PolicySet(Set):
+    """An immutable set of policies that keeps every copy it was given.
+
+    Structurally equal policies (copies, from different origins) collapse
+    to one member: the copy lowest in canonical (text, origin) order, so
+    the member and every witness name the same origin whatever the input
+    order.  ``copies`` gives all of a member's copies in that order.
+    ``tables`` holds the per-mode lookup tables ``matching`` builds on a
+    set's first query in a mode, so every state holding the set shares
+    them.
+    """
+
+    def __init__(self, policies: Iterable[Policy] = ()):
+        groups: dict[Policy, list[Policy]] = {}
+        for policy in policies:
+            groups.setdefault(policy, []).append(policy)
+        # keyed by each group's lowest copy, which iteration yields
+        self._copies = {}
+        for group in groups.values():
+            if len(group) > 1:
+                group.sort(key=_origin_rank)
+            self._copies[group[0]] = tuple(group)
+        self.tables: dict = {}
+
+    def adding(self, policy: Policy) -> PolicySet:
+        """This set plus a policy it does not hold, with tables of its own."""
+        if policy in self._copies:
+            raise ValueError(f"policy already in the set: {policy.canonical_text}")
+        derived = PolicySet()
+        derived._copies = self._copies | {policy: (policy,)}
+        return derived
+
+    def copies(self, policy: Policy) -> tuple[Policy, ...]:
+        """Every copy of a member, in canonical order; its first is the member."""
+        return self._copies[policy]
+
+    @cached_property
+    def ranked(self) -> tuple[Policy, ...]:
+        """The members in canonical order."""
+        return tuple(sorted(self._copies, key=canonical_policy_text))
+
+    def __contains__(self, policy) -> bool:
+        return policy in self._copies
+
+    def __iter__(self):
+        return iter(self._copies)
+
+    def __len__(self) -> int:
+        return len(self._copies)
+
+    # hashable like the frozenset it stands in for (and usable as a dataclass default)
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"PolicySet({list(self._copies)!r})"
+
+
 @dataclass(frozen=True)
 class Application:
     """A deployed unit: send endpoint and listen endpoints."""
@@ -207,28 +272,33 @@ class Message:
 class SystemState:
     """The global system: applications, policies, endpoints, received data.
 
-    Immutable; operations produce new states.  app_data holds one log per
-    application, ``()`` unless given: the messages it has received, in order.
+    Immutable; operations produce new states.  policies is a PolicySet
+    (any other iterable is made into one).  app_data holds one log per
+    application, ``()`` unless given: the messages it has received, in
+    order.  by_id maps each app_id to its application.
     """
 
     applications: frozenset[Application] = frozenset()
-    policies: frozenset[Policy] = frozenset()
+    policies: PolicySet = PolicySet()
     endpoints: frozenset[Endpoint] = frozenset()
     app_data: Mapping[int, tuple[Message, ...]] = field(default_factory=dict)
+    by_id: Mapping[int, Application] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "applications", frozenset(self.applications))
-        object.__setattr__(self, "policies", frozenset(self.policies))
+        if not isinstance(self.policies, PolicySet):
+            object.__setattr__(self, "policies", PolicySet(self.policies))
         object.__setattr__(self, "endpoints", frozenset(self.endpoints))
-        ids = {app.app_id for app in self.applications}
-        if len(ids) != len(self.applications):
+        by_id = {app.app_id: app for app in self.applications}
+        if len(by_id) != len(self.applications):
             raise ValueError("applications must have unique app_ids")
+        object.__setattr__(self, "by_id", by_id)
         logs = {aid: tuple(msgs) for aid, msgs in dict(self.app_data).items()}
-        stray = logs.keys() - ids
+        stray = logs.keys() - by_id.keys()
         if stray:
             raise ValueError(f"app_data keyed by unknown app_ids: {sorted(stray)}")
-        if len(logs) < len(ids):
-            logs = dict.fromkeys(sorted(ids), ()) | logs
+        if len(logs) < len(by_id):
+            logs = dict.fromkeys(sorted(by_id), ()) | logs
         object.__setattr__(self, "app_data", logs)
 
 
@@ -239,10 +309,10 @@ def new_system() -> SystemState:
 
 def get_application(state: SystemState, aid: int) -> Application:
     """Look up an application by id; pure. Raises UnknownApplication."""
-    for app in state.applications:
-        if app.app_id == aid:
-            return app
-    raise UnknownApplication(f"no application with id {aid}")
+    app = state.by_id.get(aid)
+    if app is None:
+        raise UnknownApplication(f"no application with id {aid}")
+    return app
 
 
 # --- canonical value forms -------------------------------------------------

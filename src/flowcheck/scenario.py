@@ -64,7 +64,7 @@ def create_policy(state, first: Endpoint, second: Endpoint, direction: Direction
     policy = Policy(pair=(first, second), direction=direction)
     if policy in state.policies:
         raise DuplicatePolicy(f"policy already exists: {canonical_policy_text(policy)}")
-    return replace(state, policies=state.policies | {policy}), policy
+    return replace(state, policies=state.policies.adding(policy)), policy
 
 
 def deploy_application(
@@ -78,7 +78,7 @@ def deploy_application(
 
     Raises DuplicateApplicationId if the id is taken.
     """
-    if any(app.app_id == aid for app in state.applications):
+    if aid in state.by_id:
         raise DuplicateApplicationId(f"application id {aid} already deployed")
     app = Application(
         app_id=aid,
@@ -95,7 +95,7 @@ def send_data(state, sid: int, rid: int, rep: Endpoint, mode=MatchMode.STRICT, c
     The sender must exist and not be receive-only; the transfer itself is
     checked by transfer_data. Returns (state', verdict).
     """
-    sender = next((app for app in state.applications if app.app_id == sid), None)
+    sender = state.by_id.get(sid)
     if sender is None:
         raise SenderUnknown(f"no application with id {sid}")
     if sender.receive_only:
@@ -123,7 +123,7 @@ def transfer_data(
             f"no policy permits {describe_endpoint(sender.send_endpoint)} -> {describe_endpoint(rep)}",
             verdict=replace(verdict, failed_predicates=explain(state.policies, sender.send_endpoint, rep, mode)),
         )
-    receiver = next((app for app in state.applications if app.app_id == rapp), None)
+    receiver = state.by_id.get(rapp)
     if receiver is None:
         raise ReceiverUnknown(f"no application with id {rapp}")
     if check_listen and rep not in receiver.listen_endpoints:

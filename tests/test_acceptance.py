@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from pathlib import Path
 from dataclasses import replace
 
 import pytest
@@ -41,7 +42,6 @@ from flowcheck import (
 )
 from flowcheck.model import endpoint_to_dict
 
-from conftest import TEST_DATA
 from test_ingest import declared_endpoint
 from test_reachability import allowed_keys
 from oracles import (
@@ -54,6 +54,7 @@ from oracles import (
     transfer_precondition_holds,
 )
 
+TEST_DATA = Path(__file__).resolve().parent / "data"
 
 def _report(number: int, text: str) -> None:
     print(f"criterion {number}: PASS - {text}")

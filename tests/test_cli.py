@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -16,8 +17,10 @@ from flowcheck import Cidr, Endpoint, Namespace
 from flowcheck.errors import FlowcheckError
 from flowcheck.ingest import _ACTIONS, _APP_KEYS, _ENDPOINT_KEYS
 
-from conftest import DATA, REPO
+from test_ingest import WORLD_POLICY
 
+REPO = Path(__file__).resolve().parent.parent
+DATA = REPO / "data"
 UI_POLICY = str(DATA / "policies" / "ui-policy.yaml")
 COMMAND_POLICY = str(DATA / "policies" / "command-policy.yaml")
 TOPOLOGY = str(DATA / "topology" / "ics.yaml")
@@ -159,9 +162,23 @@ class TestReachability:
             main(["explain", "--policies", *map(str, order), "--",
                   "cidr=10.28.1.2/30", "namespace=NS-UI,port=443,label=WebUI"])
             outputs.setdefault("explain", set()).add(capsys.readouterr().out)
+            for fmt in ("table", "json"):
+                main(["explain", "--policies", *map(str, order), "--format", fmt, "--",
+                      "cidr=10.28.1.4/30", "namespace=NS-UI,port=443,label=WebUI"])
+                outputs.setdefault(f"denied-{fmt}", set()).add(capsys.readouterr().out)
+            main(["check", "--policies", *map(str, order), "--topology", TOPOLOGY,
+                  "--scenario", str(DATA / "scenarios" / "ics_flows.yaml"), "--format", "json"])
+            outputs.setdefault("check", set()).add(capsys.readouterr().out)
         assert all(len(texts) == 1 for texts in outputs.values())
         witness = outputs["explain"].pop().split("\n")[2]
         assert witness == "[DocA#0] MATCH (ingress)"
+        # a denial names every document the collapsed rule came from
+        assert outputs["denied-table"].pop().split("\n")[2:4] == [
+            "[DocA#0] FAIL sender.cidr", "[DocB#0] FAIL sender.cidr"
+        ]
+        denied = json.loads(outputs["denied-json"].pop())["failed_predicates"]
+        assert [e["policy"]["origin"]["document"] for e in denied] == ["DocA", "DocB"]
+        assert json.loads(outputs["check"].pop())["steps_run"] > 0
         assert "allow    DocA#0" in outputs["table"].pop()
         allowed = [e for e in json.loads(outputs["json"].pop())["entries"] if e["allowed"]]
         assert [e["matched_policy"]["origin"] for e in allowed] == [
@@ -175,6 +192,17 @@ class TestReachability:
 
 
 class TestExplain:
+    @pytest.mark.parametrize(
+        "sender, code, verdict",
+        [("namespace=NS-Other,label=Anything", 1, "DENIED"), ("cidr=10.0.0.1/32", 0, "ALLOWED")],
+    )
+    def test_world_block_needs_a_sender_address(self, tmp_path, capsys, sender, code, verdict):
+        world = tmp_path / "World.yaml"
+        world.write_text(WORLD_POLICY, encoding="utf-8")
+        assert main(["explain", "--policies", str(world), "--mode", "semantic", "--",
+                     sender, "namespace=NS-UI,label=WebUI,port=443"]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == verdict
+
     def test_semantic_match(self, capsys):
         code = main(
             [

@@ -17,9 +17,11 @@ from flowcheck import (
     MatchMode,
     Namespace,
     Policy,
+    SystemState,
     UnknownEndpointReference,
     UnsupportedApiVersion,
     UnsupportedKind,
+    evaluate,
     expand_rules,
     parse_cilium_policy,
     parse_scenario,
@@ -28,6 +30,24 @@ from flowcheck import (
     policies_to_text,
 )
 from flowcheck.cli import main
+
+
+WORLD_POLICY = """
+apiVersion: cilium.io/v2
+kind: CiliumNetworkPolicy
+metadata: {name: World, namespace: NS-UI}
+spec:
+  endpointSelector: {matchLabels: {app: WebUI}}
+  ingress:
+    - fromCIDRSet:
+        - cidr: 0.0.0.0/0
+      toPorts:
+        - ports:
+            - port: "443"
+  egress:
+    - toCIDRSet:
+        - cidr: 0.0.0.0/0
+"""
 
 
 def declared_endpoint(script, name):
@@ -227,6 +247,36 @@ spec:
         policies = expand_rules(parse_cilium_policy(ui_policy_text))
         policies += expand_rules(parse_cilium_policy(command_policy_text))
         assert policies_from_text(policies_to_text(policies)) == policies
+
+    @pytest.mark.parametrize("mode", [MatchMode.STRICT, MatchMode.SEMANTIC])
+    def test_world_block_still_needs_an_address(self, mode):
+        # 0.0.0.0/0 is every address, not "no address needed": it expands
+        # to its /1 halves, which a sender or receiver without a CIDR fails
+        policies = expand_rules(parse_cilium_policy(WORLD_POLICY))
+        halves = [Cidr(0, 0, 0, 0, 1), Cidr(128, 0, 0, 0, 1)]
+        assert [p.pair[1] for p in policies] == [
+            Endpoint(cidr=half) for half in halves
+        ] * 2
+        webui = Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI")
+        webui_sender = Endpoint(namespace=Namespace("NS-UI", 1), label="WebUI")
+        state = SystemState(policies=policies)
+        no_address = (Endpoint(namespace=Namespace("NS-Other", 1), label="Anything"),
+                      Endpoint(cidr=Cidr(0, 0, 0, 0, 0)))  # the "unconstrained" sentinel
+        for peer in no_address:
+            assert not evaluate(state.policies, peer, webui, mode).allowed
+            assert not evaluate(state.policies, webui_sender, peer, mode).allowed
+        hosts = [Endpoint(cidr=Cidr(10, 0, 0, 1, 32)), Endpoint(cidr=Cidr(200, 1, 2, 3, 32))]
+        if mode is MatchMode.SEMANTIC:
+            for host in hosts:
+                assert evaluate(state.policies, host, webui, mode).allowed
+                assert evaluate(state.policies, webui_sender, host, mode).allowed
+        else:
+            # strict compares endpoints structurally: only a half itself matches
+            for host in hosts:
+                assert not evaluate(state.policies, host, webui, mode).allowed
+            for half in halves:
+                assert evaluate(state.policies, Endpoint(cidr=half), webui, mode).allowed
+                assert evaluate(state.policies, webui_sender, Endpoint(cidr=half), mode).allowed
 
     def test_expansion_count_formula(self, command_policy_text):
         doc = parse_cilium_policy(command_policy_text)

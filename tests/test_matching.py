@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from flowcheck import matching
 from flowcheck import (
     Cidr,
     ContainmentUndefined,
@@ -247,6 +248,18 @@ class TestIndexFreshness:
         assert [p for p, _ in explain(new_state.policies, CLIENT_EP, WEBUI_EP, mode)] == [
             p for p, _ in explain(list(new_state.policies), CLIENT_EP, WEBUI_EP, mode)
         ]
+
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_alternating_states_build_each_table_once(self, mode, monkeypatch):
+        # each state's set keeps its own table, so taking turns rebuilds none
+        builds, build_table = [], matching._build_table
+        monkeypatch.setattr(matching, "_build_table", lambda *args: builds.append(args[1]) or build_table(*args))
+        first, _ = create_policy(new_system(), WEBUI_EP, CLIENT_EP, Direction.INGRESS)
+        second, _ = create_policy(first, COMMAND_EP, ASSET_EP, Direction.EGRESS)
+        for _ in range(10):
+            assert not evaluate(first.policies, COMMAND_EP, ASSET_EP, mode).allowed
+            assert evaluate(second.policies, COMMAND_EP, ASSET_EP, mode).allowed
+        assert builds == [mode, mode]
 
     @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
     def test_mutated_list_never_answered_stale(self, mode):

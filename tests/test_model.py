@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
 from flowcheck import (
@@ -9,13 +11,17 @@ from flowcheck import (
     Cidr,
     Direction,
     Endpoint,
+    MatchMode,
     Message,
     Namespace,
     Policy,
     PolicyOrigin,
+    PolicySet,
     SystemState,
     UnknownApplication,
     canonical_policy_text,
+    create_policy,
+    evaluate,
     get_application,
     new_system,
     normalize_fields,
@@ -136,6 +142,57 @@ class TestPolicy:
         policy = Policy(pair=(Endpoint(label="a"), Endpoint(label="b")), direction=1)
         assert canonical_policy_text(policy) == canonical_policy_text(policy)
         assert '"direction":1' in canonical_policy_text(policy)
+
+
+class TestPolicySet:
+    EP_A, EP_B = Endpoint(label="a"), Endpoint(label="b")
+    A_FROM_B = Policy(pair=(EP_A, EP_B), direction=Direction.INGRESS)
+    B_FROM_A = Policy(pair=(EP_B, EP_A), direction=Direction.INGRESS)
+
+    def copies_of(self, policy, *origins):
+        return [Policy(policy.pair, policy.direction, origin) for origin in origins]
+
+    def test_members_and_copies_independent_of_input_order(self):
+        # "" < "doc-a#0" < "doc-a#10" < "doc-a#2" < "doc-b#0": origins order as text
+        origins = [PolicyOrigin("doc-b", 0), PolicyOrigin("doc-a", 2), None,
+                   PolicyOrigin("doc-a", 10), PolicyOrigin("doc-a", 0)]
+        a_copies = self.copies_of(self.A_FROM_B, *origins)
+        b_copies = self.copies_of(self.B_FROM_A, PolicyOrigin("doc-b", 1), PolicyOrigin("doc-a", 3))
+        expected = [None, PolicyOrigin("doc-a", 0), PolicyOrigin("doc-a", 10),
+                    PolicyOrigin("doc-a", 2), PolicyOrigin("doc-b", 0)]
+        for order in permutations(a_copies + b_copies):
+            policies = PolicySet(order)
+            assert len(policies) == 2
+            assert {p.origin for p in policies} == {None, PolicyOrigin("doc-a", 3)}
+            assert [p.origin for p in policies.copies(self.A_FROM_B)] == expected
+            assert [p.origin for p in policies.copies(self.B_FROM_A)] == [
+                PolicyOrigin("doc-a", 3), PolicyOrigin("doc-b", 1)
+            ]
+            assert policies.ranked == tuple(sorted(policies, key=canonical_policy_text))
+
+    def test_set_protocol(self):
+        a, b = self.copies_of(self.A_FROM_B, PolicyOrigin("d", 1), PolicyOrigin("d", 0))
+        policies = PolicySet([a, b, self.B_FROM_A])
+        assert policies == frozenset({a, self.B_FROM_A}) == set(policies)
+        assert hash(policies) == hash(frozenset(policies))
+        assert a in policies and len(policies) == 2
+        assert (policies | {self.A_FROM_B}) == policies
+        assert [p.origin for p in sorted(policies, key=canonical_policy_text)] == [PolicyOrigin("d", 0), None]
+
+    def test_adding_leaves_the_old_set_and_its_tables(self):
+        state, _ = create_policy(new_system(), self.EP_A, self.EP_B, Direction.INGRESS)
+        old = state.policies
+        assert evaluate(old, self.EP_B, self.EP_A, MatchMode.STRICT).allowed
+        table = old.tables[MatchMode.STRICT]
+        before = {key: list(found) for key, found in table.items()}
+        new_state, policy = create_policy(state, self.EP_B, self.EP_A, Direction.INGRESS)
+        assert new_state.policies == {self.A_FROM_B, policy} and new_state.policies.tables == {}
+        assert evaluate(new_state.policies, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
+        assert state.policies is old and list(old) == [self.A_FROM_B] and policy not in old
+        assert old.tables == {MatchMode.STRICT: before} and old.tables[MatchMode.STRICT] is table
+        assert not evaluate(old, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
+        with pytest.raises(ValueError):
+            new_state.policies.adding(policy)
 
 
 class TestSystemState:

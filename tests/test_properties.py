@@ -21,6 +21,7 @@ from flowcheck import (
     Namespace,
     Policy,
     PolicyOrigin,
+    PolicySet,
     create_endpoint,
     create_policy,
     deploy_application,
@@ -32,7 +33,7 @@ from flowcheck import (
     policy_permits,
     send_data,
 )
-from flowcheck.matching import PolicyIndex
+from flowcheck.matching import permitting
 from flowcheck.model import normalized_fields
 from oracles import canonical_rank, permits
 
@@ -69,6 +70,24 @@ direction_st = st.sampled_from([Direction.INGRESS, Direction.EGRESS])
 policy_st = st.builds(Policy, pair=st.tuples(endpoint_st, endpoint_st), direction=direction_st)
 mode_st = st.sampled_from([MatchMode.STRICT, MatchMode.SEMANTIC])
 origin_st = st.none() | st.builds(PolicyOrigin, st.sampled_from(["doc-a", "doc-b"]), st.integers(0, 2))
+
+
+def ranked_copies(policies):
+    """Every drawn copy of each distinct policy, grouped in the oracle's
+    canonical order; a group's first copy is the member a set keeps."""
+    groups: list[list[Policy]] = []
+    for policy in sorted(policies, key=canonical_rank):
+        if groups and groups[-1][0] == policy:
+            groups[-1].append(policy)
+        else:
+            groups.append([policy])
+    return groups
+
+
+def assert_copies_kept(policy_set, groups):
+    assert len(policy_set) == len(groups)
+    for group in groups:
+        assert [id(p) for p in policy_set.copies(group[0])] == [id(p) for p in group]
 
 
 class TestMatchProperties:
@@ -143,9 +162,11 @@ class TestMatchProperties:
             witness = min(permitting, key=canonical_rank)
             assert verdict.matched_policy == witness
             assert verdict.matched_policy.origin == witness.origin
+        # one entry per member, each the lowest-origin copy; copies keeps the rest
         reasons = explain(policies, sender, receiver, mode)
-        expected = sorted(policies, key=canonical_rank)
-        assert [(p, p.origin) for p, _ in reasons] == [(p, p.origin) for p in expected]
+        groups = ranked_copies(policies)
+        assert [id(p) for p, _ in reasons] == [id(group[0]) for group in groups]
+        assert_copies_kept(PolicySet(policies), groups)
         if not permitting:
             assert all(isinstance(predicate, str) for _, predicate in reasons)
 
@@ -165,11 +186,16 @@ class TestMatchProperties:
             st.lists(st.tuples(flow_policy_st, st.lists(origin_st, min_size=1, max_size=3)), max_size=8)
         )
         policies = [Policy(p.pair, p.direction, origin) for p, origins in drawn for origin in origins]
-        index = PolicyIndex(policies)
+        policy_set = PolicySet(policies)
+        groups = ranked_copies(policies)
+        assert_copies_kept(policy_set, groups)
+        members = [group[0] for group in groups]
         for mode in MatchMode:
-            found = index.permitting(sender, receiver, mode)
-            expected = [p for p in policies if policy_permits(p, sender, receiver, mode)]
+            found = permitting(policy_set, sender, receiver, mode)
+            expected = [p for p in members if policy_permits(p, sender, receiver, mode)]
             assert Counter(map(id, found)) == Counter(map(id, expected))
+            reasons = explain(policy_set, sender, receiver, mode)
+            assert [id(p) for p, _ in reasons] == [id(p) for p in members]
 
     @given(st.lists(policy_st, max_size=6), endpoint_st, endpoint_st, mode_st)
     def test_verdict_invariants(self, policies, sender, receiver, mode):
