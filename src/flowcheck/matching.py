@@ -8,21 +8,23 @@ containment for addresses, name equality for namespaces, exact match for
 ports and labels; absent policy fields constrain nothing.
 
 ``evaluate`` decides a flow (allow or deny plus a witness); ``explain``
-alone fills ``MatchVerdict.failed_predicates`` with why a denial failed.
+says, per policy, why a denial failed.
+
+Each mode's rule is one key function, ``_key(shape, fields)``, over an
+endpoint's ``normalized`` fields: a spec matches a concrete endpoint iff
+their keys under the spec's shape are equal, and ``explain`` names the
+first key component that differs.
 
 Both answer from a ``PolicySet``; any other iterable is made into one
 for that call only.  Its members are keyed on their oriented pair
 (sender spec, receiver spec) in one table per mode, built on the set's
 first query in that mode and kept in ``PolicySet.tables``:
 
-* strict: one dict from the two specs' normalized field tuples to the
-  policies with exactly those fields, so a lookup is the permitting set;
-* semantic: one dict per pair of spec shapes (CIDR prefix length or none,
-  and which of namespace, port and label are present), keyed on the CIDR's
-  top prefix-length bits, the namespace name, the port and the label.  A
-  lookup derives the concrete pair's key under each shape pair the set
-  holds, skipping shapes the endpoint cannot satisfy (a missing field or
-  a block wider than the prefix), so every hit permits the flow.
+    {(sender shape, receiver shape): {(sender key, receiver key): [policies]}}
+
+A lookup derives the concrete pair's keys under each shape pair the set
+holds, so every hit permits the flow.  Strict mode has the one shape pair
+``(None, None)``, so its lookup is a single probe.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .model import (
     Policy,
     PolicySet,
     canonical_policy_text,
-    normalized_fields,
 )
 
 
@@ -52,9 +53,9 @@ class MatchMode(Enum):
 class MatchVerdict:
     """Outcome of evaluating a transfer against a policy set.
 
-    failed_predicates is filled only from explain, for a denial: one
-    (policy, first failed predicate) entry per member of the policy set,
-    in canonical order.
+    failed_predicates is empty from evaluate.  For a denial, transfer_data
+    fills it with what explain returns: one (policy, first failed
+    predicate) entry per member of the policy set, in canonical order.
     """
 
     allowed: bool
@@ -87,38 +88,51 @@ def cidr_contains(block: Cidr, address: Cidr) -> bool:
     return block.as_int() >> shift == address.as_int() >> shift
 
 
-_FIELD_NAMES = ("cidr", "namespace", "port", "label")
+# the key components, named as explain reports them, in the order checked
+_NAMES = {
+    MatchMode.STRICT: ("cidr", "namespace", "port", "label"),
+    MatchMode.SEMANTIC: ("cidr-containment", "namespace", "port", "label"),
+}
 
 
-def _strict_mismatch(spec: Endpoint, concrete: Endpoint) -> Optional[str]:
-    """First differing field after sentinel normalization, or None."""
-    for name, sv, cv in zip(_FIELD_NAMES, normalized_fields(spec), normalized_fields(concrete)):
-        if sv != cv:
-            return name
-    return None
+def _shape(fields, mode: MatchMode) -> Optional[tuple]:
+    """What normalized policy endpoint fields constrain: None in strict
+    mode; in semantic mode the CIDR prefix length or None, and whether
+    namespace, port and label are present."""
+    if mode is MatchMode.STRICT:
+        return None
+    cidr, namespace, port, label = fields
+    return (None if cidr is None else cidr.sig_bits, namespace is not None, port is not None, label is not None)
 
 
-def _semantic_mismatch(spec: Endpoint, concrete: Endpoint) -> Optional[str]:
-    """First present-field constraint of spec that concrete fails, or None."""
-    s_cidr, s_ns, s_port, s_label = normalized_fields(spec)
-    c_cidr, c_ns, c_port, c_label = normalized_fields(concrete)
-    if s_cidr is not None:
-        # a concrete address wider than the block can never be contained
-        if c_cidr is None or c_cidr.sig_bits < s_cidr.sig_bits or not cidr_contains(s_cidr, c_cidr):
-            return "cidr-containment"
-    if s_ns is not None and (c_ns is None or c_ns.name != s_ns.name):
-        return "namespace"
-    if s_port is not None and c_port != s_port:
-        return "port"
-    if s_label is not None and c_label != s_label:
-        return "label"
-    return None
+def _key(shape: Optional[tuple], fields) -> tuple:
+    """Key of normalized endpoint fields under a spec shape.  A spec
+    matches iff its key under its own shape equals the concrete
+    endpoint's key under that shape; strict keys are the fields."""
+    if shape is None:
+        return fields
+    prefix, has_namespace, has_port, has_label = shape
+    cidr, namespace, port, label = fields
+    # a concrete address wider than the block can never be contained
+    top = None
+    if prefix is not None and cidr is not None and cidr.sig_bits >= prefix:
+        top = cidr.as_int() >> (32 - prefix)
+    return (
+        top,
+        namespace.name if has_namespace and namespace is not None else None,
+        port if has_port else None,
+        label if has_label else None,
+    )
 
 
 def _mismatch(spec: Endpoint, concrete: Endpoint, mode: MatchMode) -> Optional[str]:
-    if mode is MatchMode.STRICT:
-        return _strict_mismatch(spec, concrete)
-    return _semantic_mismatch(spec, concrete)
+    """Name of the first key component where concrete differs from spec, or None."""
+    spec_fields = spec.normalized
+    shape = _shape(spec_fields, mode)
+    for name, want, got in zip(_NAMES[mode], _key(shape, spec_fields), _key(shape, concrete.normalized)):
+        if want != got:
+            return name
+    return None
 
 
 def endpoint_matches(spec: Endpoint, concrete: Endpoint, mode: MatchMode) -> bool:
@@ -162,46 +176,14 @@ def _oriented(policy: Policy) -> tuple[Endpoint, Endpoint]:
     return policy.pair[::-1] if policy.direction is Direction.INGRESS else policy.pair
 
 
-def _shape(fields) -> tuple:
-    """What a normalized policy endpoint constrains: CIDR prefix length or
-    None, and whether namespace, port and label are present."""
-    cidr, namespace, port, label = fields
-    return (None if cidr is None else cidr.sig_bits, namespace is not None, port is not None, label is not None)
-
-
-def _semantic_key(shape: tuple, fields) -> Optional[tuple]:
-    """Key of normalized endpoint fields under a spec shape, or None when
-    no spec of that shape can match them.  A spec's own key is its key
-    under its own shape, so keys are equal iff the spec matches."""
-    prefix, has_namespace, has_port, has_label = shape
-    cidr, namespace, port, label = fields
-    top = None
-    if prefix is not None:
-        # a concrete address wider than the block can never be contained
-        if cidr is None or cidr.sig_bits < prefix:
-            return None
-        top = cidr.as_int() >> (32 - prefix)
-    if (has_namespace and namespace is None) or (has_port and port is None) or (has_label and label is None):
-        return None
-    return (
-        top,
-        namespace.name if has_namespace else None,
-        port if has_port else None,
-        label if has_label else None,
-    )
-
-
 def _build_table(policies: PolicySet, mode: MatchMode) -> dict:
     """The mode's lookup table, laid out as the module docstring says."""
     table: dict = {}
     for policy in policies:
-        sender, receiver = (normalized_fields(spec) for spec in _oriented(policy))
-        if mode is MatchMode.STRICT:
-            table.setdefault((sender, receiver), []).append(policy)
-        else:
-            shapes = (_shape(sender), _shape(receiver))
-            key = (_semantic_key(shapes[0], sender), _semantic_key(shapes[1], receiver))
-            table.setdefault(shapes, {}).setdefault(key, []).append(policy)
+        sender, receiver = (spec.normalized for spec in _oriented(policy))
+        shapes = (_shape(sender, mode), _shape(receiver, mode))
+        keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
+        table.setdefault(shapes, {}).setdefault(keys, []).append(policy)
     return table
 
 
@@ -214,17 +196,10 @@ def permitting(policies: PolicySet, sender_ep: Endpoint, receiver_ep: Endpoint, 
     table = policies.tables.get(mode)
     if table is None:
         table = policies.tables[mode] = _build_table(policies, mode)
-    sender, receiver = normalized_fields(sender_ep), normalized_fields(receiver_ep)
-    if mode is MatchMode.STRICT:
-        return list(table.get((sender, receiver), ()))
+    sender, receiver = sender_ep.normalized, receiver_ep.normalized
     found = []
     for (sender_shape, receiver_shape), keyed in table.items():
-        sender_key = _semantic_key(sender_shape, sender)
-        if sender_key is None:
-            continue
-        receiver_key = _semantic_key(receiver_shape, receiver)
-        if receiver_key is not None:
-            found += keyed.get((sender_key, receiver_key), ())
+        found += keyed.get((_key(sender_shape, sender), _key(receiver_shape, receiver)), ())
     return found
 
 

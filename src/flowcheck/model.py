@@ -9,7 +9,8 @@ immutable values validating their invariants at construction time.
 Scenario scripts conventionally encode "unconstrained" endpoint fields
 with sentinel values (CIDR 0.0.0.0/0, namespace "-" with id 0, port 0,
 empty label).  The model stores absence explicitly; ``normalize_fields``
-maps the sentinels to absent on the way in.
+maps the sentinels to absent on the way in, and ``Endpoint.normalized``
+holds an endpoint's fields so mapped.
 """
 
 from __future__ import annotations
@@ -118,6 +119,12 @@ class Endpoint:
         if self.label is not None and not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
 
+    @cached_property
+    def normalized(self) -> tuple:
+        """(cidr, namespace, port, label) with sentinels mapped to absent,
+        computed on first use."""
+        return normalize_fields(self.cidr, self.namespace, self.port, self.label)
+
 
 SENTINEL_CIDR = Cidr(0, 0, 0, 0, 0)
 SENTINEL_NAMESPACE = Namespace("-", 0)
@@ -134,11 +141,6 @@ def normalize_fields(cidr, namespace, port, label):
     if label == "":
         label = None
     return cidr, namespace, port, label
-
-
-def normalized_fields(ep: Endpoint):
-    """The endpoint's field tuple with sentinels mapped to absent."""
-    return normalize_fields(ep.cidr, ep.namespace, ep.port, ep.label)
 
 
 @dataclass(frozen=True)

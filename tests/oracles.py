@@ -4,7 +4,9 @@ Nothing here calls into the matching or scenario engines; containment is
 answered by bitmask enumeration (or the stdlib ipaddress module where
 enumeration is infeasible) and transfer permission by literally walking
 the policy set with structural equality (strict mode) or field-by-field
-constraints (semantic mode).
+constraints (semantic mode).  ``first_failure`` names the predicate
+``explain`` reports for one policy, field by field in the README's order.
+``tests/test_oracle_independence.py`` pins what this file may import.
 """
 
 from __future__ import annotations
@@ -98,6 +100,50 @@ def permits(policy: Policy, sender: Endpoint, receiver: Endpoint, mode) -> bool:
         wanted = (sender, receiver)
     semantic = mode.value == "semantic"
     return all(_endpoint_permits(spec, ep, semantic) for spec, ep in zip(policy.pair, wanted))
+
+
+_FIELD_NAMES = ("cidr", "namespace", "port", "label")
+
+
+def _failed_field(spec: Endpoint, concrete: Endpoint, semantic: bool):
+    """The first of cidr, namespace, port and label (in that order) whose
+    check concrete fails, or None; semantic mode calls the CIDR check
+    cidr-containment."""
+    for name, want, got in zip(_FIELD_NAMES, _present_fields(spec), _present_fields(concrete)):
+        if not semantic:
+            if want != got:
+                return name
+        elif want is None:
+            continue
+        elif name == "cidr":
+            if got is None or not contains_by_ipaddress(want, got):
+                return "cidr-containment"
+        elif name == "namespace":
+            if got is None or got.name != want.name:
+                return name
+        elif want != got:
+            return name
+    return None
+
+
+def first_failure(policy: Policy, sender: Endpoint, receiver: Endpoint, mode):
+    """The predicate explain names for one policy, as the README states
+    it: walk the pair in pair order (ingress pairs are (receiver, sender),
+    so the receiver is checked first); at the first endpoint with a failed
+    field, answer direction-orientation if the policy permits the reversed
+    flow, else ``<role>.<field>``; None when the policy permits the flow."""
+    if int(policy.direction) == 0:
+        roles = (("receiver", receiver), ("sender", sender))
+    else:
+        roles = (("sender", sender), ("receiver", receiver))
+    semantic = mode.value == "semantic"
+    for spec, (role, ep) in zip(policy.pair, roles):
+        failed = _failed_field(spec, ep, semantic)
+        if failed is not None:
+            if permits(policy, receiver, sender, mode):
+                return "direction-orientation"
+            return f"{role}.{failed}"
+    return None
 
 
 def canonical_rank(policy: Policy):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from flowcheck import matching
+from flowcheck import matching, model
 from flowcheck import (
     Cidr,
     ContainmentUndefined,
@@ -289,3 +289,21 @@ class TestIndexFreshness:
             for receiver in endpoints:
                 assert evaluate(frozen, sender, receiver, mode) == evaluate(policies, sender, receiver, mode)
                 assert explain(frozen, sender, receiver, mode) == explain(policies, sender, receiver, mode)
+
+
+class TestNormalizedOnce:
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_each_endpoint_normalized_once(self, mode, monkeypatch):
+        # deciding and explaining a denial against 60 policies reads each
+        # endpoint's normalized fields, computing them at most once
+        calls, normalize = [], model.normalize_fields
+        monkeypatch.setattr(model, "normalize_fields", lambda *fields: calls.append(fields) or normalize(*fields))
+        sender = Endpoint(cidr=Cidr(10, 28, 1, 9, 32))
+        receiver = Endpoint(namespace=Namespace("NS-UI", 1), port=443)
+        policies = [Policy(pair=(Endpoint(label=f"app-{i}"), sender), direction=Direction.INGRESS) for i in range(60)]
+        assert not evaluate(policies, sender, receiver, mode).allowed
+        reasons = explain(policies, sender, receiver, mode)
+        failed = "receiver.namespace" if mode is STRICT else "receiver.label"
+        assert len(reasons) == 60 and {predicate for _, predicate in reasons} == {failed}
+        distinct = {id(ep) for policy in policies for ep in policy.pair} | {id(sender), id(receiver)}
+        assert 0 < len(calls) <= len(distinct) == 62

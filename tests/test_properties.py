@@ -34,8 +34,7 @@ from flowcheck import (
     send_data,
 )
 from flowcheck.matching import permitting
-from flowcheck.model import normalized_fields
-from oracles import canonical_rank, permits
+from oracles import canonical_rank, first_failure, permits
 
 # small pools keep collisions (and therefore matches) likely
 cidr_st = st.builds(
@@ -70,6 +69,23 @@ direction_st = st.sampled_from([Direction.INGRESS, Direction.EGRESS])
 policy_st = st.builds(Policy, pair=st.tuples(endpoint_st, endpoint_st), direction=direction_st)
 mode_st = st.sampled_from([MatchMode.STRICT, MatchMode.SEMANTIC])
 origin_st = st.none() | st.builds(PolicyOrigin, st.sampled_from(["doc-a", "doc-b"]), st.integers(0, 2))
+
+
+def cut_flow_policies(sender, receiver):
+    """Policies whose endpoints are drawn partly from the flow's own
+    endpoints with their CIDR cut to other prefix lengths, so blocks nest
+    both ways, each repeated under one to three origins."""
+    flow_endpoint_st = st.builds(
+        lambda ep, prefix: replace(ep, cidr=replace(ep.cidr, sig_bits=prefix)) if ep.cidr else ep,
+        st.sampled_from([sender, receiver]),
+        st.integers(0, 32),
+    ) | wide_endpoint_st
+    flow_policy_st = st.builds(
+        Policy, pair=st.tuples(flow_endpoint_st, flow_endpoint_st), direction=direction_st
+    )
+    return st.lists(
+        st.tuples(flow_policy_st, st.lists(origin_st, min_size=1, max_size=3)), max_size=8
+    ).map(lambda drawn: [Policy(p.pair, p.direction, origin) for p, origins in drawn for origin in origins])
 
 
 def ranked_copies(policies):
@@ -124,7 +140,7 @@ class TestMatchProperties:
 
     @given(st.tuples(endpoint_st, endpoint_st), direction_st)
     def test_direction_asymmetry_strict(self, pair, direction):
-        if normalized_fields(pair[0]) == normalized_fields(pair[1]):
+        if pair[0].normalized == pair[1].normalized:
             return
         policy = Policy(pair=pair, direction=direction)
         if direction is Direction.INGRESS:
@@ -141,12 +157,12 @@ class TestMatchProperties:
         rng.shuffle(shuffled)
         assert evaluate(shuffled, sender, receiver, mode) == baseline
 
-    @given(endpoint_st, endpoint_st, mode_st, st.data())
+    @given(endpoint_st | wide_endpoint_st, endpoint_st | wide_endpoint_st, mode_st, st.data())
     def test_evaluate_and_explain_agree_with_oracle(self, sender, receiver, mode, data):
         # policy endpoints drawn partly from the flow's own endpoints, so
         # that several policies often permit it, some structurally equal
         # under different origins
-        flow_endpoint_st = st.sampled_from([sender, receiver]) | endpoint_st
+        flow_endpoint_st = st.sampled_from([sender, receiver]) | endpoint_st | wide_endpoint_st
         flow_policy_st = st.builds(
             Policy, pair=st.tuples(flow_endpoint_st, flow_endpoint_st), direction=direction_st
         )
@@ -172,20 +188,7 @@ class TestMatchProperties:
 
     @given(wide_endpoint_st, wide_endpoint_st, st.data())
     def test_index_agrees_with_linear_scan(self, sender, receiver, data):
-        # policy endpoints drawn partly from the flow's own endpoints with
-        # their CIDR cut to other prefix lengths, repeated under origins
-        flow_endpoint_st = st.builds(
-            lambda ep, prefix: replace(ep, cidr=replace(ep.cidr, sig_bits=prefix)) if ep.cidr else ep,
-            st.sampled_from([sender, receiver]),
-            st.integers(0, 32),
-        ) | wide_endpoint_st
-        flow_policy_st = st.builds(
-            Policy, pair=st.tuples(flow_endpoint_st, flow_endpoint_st), direction=direction_st
-        )
-        drawn = data.draw(
-            st.lists(st.tuples(flow_policy_st, st.lists(origin_st, min_size=1, max_size=3)), max_size=8)
-        )
-        policies = [Policy(p.pair, p.direction, origin) for p, origins in drawn for origin in origins]
+        policies = data.draw(cut_flow_policies(sender, receiver))
         policy_set = PolicySet(policies)
         groups = ranked_copies(policies)
         assert_copies_kept(policy_set, groups)
@@ -194,8 +197,16 @@ class TestMatchProperties:
             found = permitting(policy_set, sender, receiver, mode)
             expected = [p for p in members if policy_permits(p, sender, receiver, mode)]
             assert Counter(map(id, found)) == Counter(map(id, expected))
+            assert Counter(map(id, found)) == Counter(id(p) for p in members if permits(p, sender, receiver, mode))
             reasons = explain(policy_set, sender, receiver, mode)
             assert [id(p) for p, _ in reasons] == [id(p) for p in members]
+
+    @given(wide_endpoint_st, wide_endpoint_st, st.data())
+    def test_explain_names_the_oracles_first_failure(self, sender, receiver, data):
+        policies = data.draw(cut_flow_policies(sender, receiver))
+        for mode in MatchMode:
+            for policy, predicate in explain(policies, sender, receiver, mode):
+                assert predicate == first_failure(policy, sender, receiver, mode)
 
     @given(st.lists(policy_st, max_size=6), endpoint_st, endpoint_st, mode_st)
     def test_verdict_invariants(self, policies, sender, receiver, mode):
