@@ -18,13 +18,19 @@ first key component that differs.
 Both answer from a ``PolicySet``; any other iterable is made into one
 for that call only.  Its members are keyed on their oriented pair
 (sender spec, receiver spec) in one table per mode, built on the set's
-first query in that mode and kept in ``PolicySet.tables``:
+first query in that mode and kept in ``PolicySet.tables`` as a lookup
+dict and one row per member in canonical order:
 
-    {(sender shape, receiver shape): {(sender key, receiver key): [policies]}}
+    ({(sender shape, receiver shape): {(sender key, receiver key): [policies]}},
+     [(policy, (sender shape, receiver shape), (sender key, receiver key), role order)])
 
 A lookup derives the concrete pair's keys under each shape pair the set
 holds, so every hit permits the flow.  Strict mode has the one shape pair
-``(None, None)``, so its lookup is a single probe.
+``(None, None)``, so its lookup is a single probe.  ``explain`` answers
+from the rows: a member the lookup returns permits the flow; one it
+returns for the reversed flow is only against its direction; any other
+differs in the key of some side, and the first such side in the pair's
+role order (receiver first for ingress) names the failed predicate.
 """
 
 from __future__ import annotations
@@ -140,35 +146,10 @@ def endpoint_matches(spec: Endpoint, concrete: Endpoint, mode: MatchMode) -> boo
     return _mismatch(spec, concrete, mode) is None
 
 
-def _role_assignment(policy: Policy, sender_ep: Endpoint, receiver_ep: Endpoint):
-    """(role, spec, concrete) triples under the policy's orientation.
-
-    Ingress pairs are (receiver, sender); egress pairs (sender, receiver).
-    """
-    if policy.direction is Direction.INGRESS:
-        return (("receiver", policy.pair[0], receiver_ep), ("sender", policy.pair[1], sender_ep))
-    return (("sender", policy.pair[0], sender_ep), ("receiver", policy.pair[1], receiver_ep))
-
-
 def policy_permits(policy: Policy, sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode) -> bool:
     """True iff the policy's oriented pair matches the concrete transfer."""
-    return all(
-        endpoint_matches(spec, concrete, mode)
-        for _, spec, concrete in _role_assignment(policy, sender_ep, receiver_ep)
-    )
-
-
-def _first_failure(policy: Policy, sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode) -> Optional[str]:
-    """Name of the first failing predicate for this policy, or None on match."""
-    for role, spec, concrete in _role_assignment(policy, sender_ep, receiver_ep):
-        failed = _mismatch(spec, concrete, mode)
-        if failed is None:
-            continue
-        # a policy that permits the reverse flow is only against its direction
-        if policy_permits(policy, receiver_ep, sender_ep, mode):
-            return "direction-orientation"
-        return f"{role}.{failed}"
-    return None
+    sender, receiver = _oriented(policy)
+    return endpoint_matches(sender, sender_ep, mode) and endpoint_matches(receiver, receiver_ep, mode)
 
 
 def _oriented(policy: Policy) -> tuple[Endpoint, Endpoint]:
@@ -176,15 +157,28 @@ def _oriented(policy: Policy) -> tuple[Endpoint, Endpoint]:
     return policy.pair[::-1] if policy.direction is Direction.INGRESS else policy.pair
 
 
-def _build_table(policies: PolicySet, mode: MatchMode) -> dict:
-    """The mode's lookup table, laid out as the module docstring says."""
-    table: dict = {}
-    for policy in policies:
+# explain's name for each key component: _FAILED[mode][side][i], side 0
+# the sender and 1 the receiver
+_FAILED = {
+    mode: tuple(tuple(f"{role}.{name}" for name in names) for role in ("sender", "receiver"))
+    for mode, names in _NAMES.items()
+}
+
+# the sides in pair order: ingress pairs are (receiver, sender)
+_ROLE_ORDER = {Direction.INGRESS: (1, 0), Direction.EGRESS: (0, 1)}
+
+
+def _build_table(policies: PolicySet, mode: MatchMode) -> tuple[dict, list]:
+    """The mode's lookup dict and rows, laid out as the module docstring says."""
+    lookup: dict = {}
+    rows = []
+    for policy in policies.ranked:
         sender, receiver = (spec.normalized for spec in _oriented(policy))
         shapes = (_shape(sender, mode), _shape(receiver, mode))
         keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
-        table.setdefault(shapes, {}).setdefault(keys, []).append(policy)
-    return table
+        lookup.setdefault(shapes, {}).setdefault(keys, []).append(policy)
+        rows.append((policy, shapes, keys, _ROLE_ORDER[policy.direction]))
+    return lookup, rows
 
 
 def _policy_set(policies: Iterable[Policy]) -> PolicySet:
@@ -198,7 +192,7 @@ def permitting(policies: PolicySet, sender_ep: Endpoint, receiver_ep: Endpoint, 
         table = policies.tables[mode] = _build_table(policies, mode)
     sender, receiver = sender_ep.normalized, receiver_ep.normalized
     found = []
-    for (sender_shape, receiver_shape), keyed in table.items():
+    for (sender_shape, receiver_shape), keyed in table[0].items():
         found += keyed.get((_key(sender_shape, sender), _key(receiver_shape, receiver)), ())
     return found
 
@@ -225,7 +219,32 @@ def explain(
     """Why a denied transfer fails: one (policy, first failed predicate)
     entry per member of the policy set, in the canonical order evaluate
     picks witnesses by.  PolicySet.copies gives each member's origins."""
-    return tuple(
-        (policy, _first_failure(policy, sender_ep, receiver_ep, mode))
-        for policy in _policy_set(policies).ranked
-    )
+    policies = _policy_set(policies)
+    # ids: hashing a policy hashes its whole dataclass tree
+    forward = {id(policy) for policy in permitting(policies, sender_ep, receiver_ep, mode)}
+    reverse = {id(policy) for policy in permitting(policies, receiver_ep, sender_ep, mode)}
+    concrete = (sender_ep.normalized, receiver_ep.normalized)
+    derived: tuple[dict, dict] = ({}, {})  # per side: shape -> the concrete key under it
+    names = _FAILED[mode]
+    _, rows = policies.tables[mode]  # built by permitting
+    reasons = []
+    for policy, shapes, keys, order in rows:
+        if id(policy) in forward:
+            predicate = None
+        elif id(policy) in reverse:
+            predicate = "direction-orientation"
+        else:
+            # not permitted, so some side's key differs
+            for side in order:
+                got = derived[side].get(shapes[side])
+                if got is None:
+                    got = derived[side][shapes[side]] = _key(shapes[side], concrete[side])
+                want = keys[side]
+                if got != want:
+                    i = 0
+                    while want[i] == got[i]:
+                        i += 1
+                    predicate = names[side][i]
+                    break
+        reasons.append((policy, predicate))
+    return tuple(reasons)

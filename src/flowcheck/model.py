@@ -193,9 +193,9 @@ class PolicySet(Set):
     to one member: the copy lowest in canonical (text, origin) order, so
     the member and every witness name the same origin whatever the input
     order.  ``copies`` gives all of a member's copies in that order.
-    ``tables`` holds the per-mode lookup tables ``matching`` builds on a
-    set's first query in a mode, so every state holding the set shares
-    them.
+    ``tables`` holds the per-mode tables ``matching`` builds on a set's
+    first query in a mode (a lookup dict and one row per member), so
+    every state holding the set shares them.
     """
 
     def __init__(self, policies: Iterable[Policy] = ()):

@@ -1,0 +1,104 @@
+"""The command line's full output on the shipped inputs, byte for byte.
+
+Every scenario under ``data/scenarios`` is checked in both formats with the
+inputs its header names, and ``explain`` is run on allowed and denied
+flows in both modes, among them denials that answer
+``direction-orientation``.  The scenarios use /30 and /28 client blocks,
+which semantic mode refuses, so their checks run in strict mode only.
+
+``tests/data/cli_golden.json`` holds each case's command line, exit code
+and standard output.  After a deliberate change to the output, rewrite it
+from the repository root with::
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from flowcheck.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+
+POLICIES = ["--policies", "data/policies/ui-policy.yaml", "data/policies/command-policy.yaml"]
+TOPOLOGY = ["--topology", "data/topology/ics.yaml"]
+SCENARIO_INPUTS = {
+    "client_to_webui": [],
+    "client_to_webui_denied": [],
+    "command_to_asset": [],
+    "command_to_asset_denied": [],
+    "ui_policy_check": ["--policies", "data/policies/ui-policy.yaml"],
+    "ics_flows": POLICIES + TOPOLOGY,
+}
+FLOWS = {
+    "client-webui": ("cidr=10.28.1.2/30", "namespace=NS-UI,label=WebUI,port=443"),
+    "client-webui-port80": ("cidr=10.28.1.2/30", "namespace=NS-UI,label=WebUI,port=80"),
+    "webui-client-reversed": ("namespace=NS-UI,label=WebUI,port=443", "cidr=10.28.1.2/30"),
+    "command-webui-reversed": ("namespace=NS-Command,label=Command", "namespace=NS-UI,label=WebUI"),
+    "semantic:host-webui-port80": ("cidr=10.28.1.3/32", "namespace=NS-UI,label=WebUI,port=80"),
+    "semantic:command-asset": ("namespace=NS-Command,label=Command", "cidr=10.29.1.20/32,port=5443"),
+    "semantic:asset-command-reversed": ("cidr=10.29.1.20/32,port=5443", "namespace=NS-Command,label=Command"),
+}
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for fmt in ("table", "json"):
+        for name, inputs in SCENARIO_INPUTS.items():
+            cases[f"check {name} {fmt}"] = [
+                "check", *inputs, "--scenario", f"data/scenarios/{name}.yaml", "--format", fmt,
+            ]
+        for name, (sender, receiver) in FLOWS.items():
+            mode = "semantic" if name.startswith("semantic:") else "strict"
+            cases[f"explain {name} {fmt}"] = ["explain", sender, receiver, *POLICIES, "--mode", mode, "--format", fmt]
+        cases[f"reachability strict {fmt}"] = ["reachability", *POLICIES, *TOPOLOGY, "--format", fmt]
+    return cases
+
+
+CASES = _cases()
+
+
+@functools.cache
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def run(argv: list[str]) -> dict:
+    """The case's command line, exit code and standard output, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+def test_every_scenario_is_covered():
+    assert set(SCENARIO_INPUTS) == {path.stem for path in (ROOT / "data" / "scenarios").glob("*.yaml")}
+
+
+def test_flows_cover_reversed_denials_and_allows():
+    answers = [golden()[f"explain {name} table"]["stdout"] for name in FLOWS]
+    assert sum("FAIL direction-orientation" in text for text in answers) >= 2
+    assert sum("ALLOWED" in text for text in answers) >= 2
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_matches_golden(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert run(CASES[name]) == golden()[name]
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    results = {name: run(argv) for name, argv in CASES.items()}
+    GOLDEN.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(results)} cases to {GOLDEN.relative_to(ROOT)}", file=sys.stderr)

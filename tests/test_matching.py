@@ -21,6 +21,7 @@ from flowcheck import (
     MatchVerdict,
     Namespace,
     Policy,
+    PolicySet,
     cidr_contains,
     endpoint_matches,
     evaluate,
@@ -29,7 +30,7 @@ from flowcheck import (
     new_system,
     policy_permits,
 )
-from oracles import contains_by_enumeration, contains_by_ipaddress
+from oracles import contains_by_enumeration, contains_by_ipaddress, first_failure
 
 STRICT = MatchMode.STRICT
 SEMANTIC = MatchMode.SEMANTIC
@@ -231,6 +232,75 @@ class TestEvaluate:
             MatchVerdict(allowed=True, matched_policy=policy, failed_predicates=((policy, "x"),))
         with pytest.raises(ValueError):
             MatchVerdict(allowed=False, matched_policy=policy)
+
+
+class TestExplain:
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_empty_set_explains_nothing(self, mode):
+        assert explain(PolicySet(), CLIENT_EP, WEBUI_EP, mode) == ()
+        assert explain([], CLIENT_EP, WEBUI_EP, mode) == ()
+
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_pair_permitting_both_ways_has_no_predicate(self, mode):
+        # the same spec on both sides admits the flow and its reverse
+        host = Endpoint(cidr=Cidr(10, 28, 1, 9, 32), port=443)
+        both_ways = Policy(pair=(host, host), direction=Direction.EGRESS)
+        other = Policy(pair=(WEBUI_EP, host), direction=Direction.INGRESS)
+        reasons = explain([both_ways, other], host, host, mode)
+        assert dict(reasons)[both_ways] is None
+        assert [predicate for _, predicate in reasons] == [
+            first_failure(policy, host, host, mode) for policy, _ in reasons
+        ]
+
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_allowed_flow_names_each_member_like_the_oracle(self, mode):
+        sender = Endpoint(cidr=Cidr(10, 28, 1, 2, 30)) if mode is STRICT else Endpoint(cidr=Cidr(10, 28, 1, 1, 32))
+        policies = [
+            Policy(pair=(WEBUI_EP, CLIENT_EP), direction=Direction.INGRESS),
+            Policy(pair=(CLIENT_EP, WEBUI_EP), direction=Direction.EGRESS),
+            Policy(pair=(WEBUI_EP, CLIENT_EP), direction=Direction.EGRESS),
+            Policy(pair=(WEBUI_EP, OTHER_CLIENT_EP), direction=Direction.INGRESS),
+            Policy(pair=(COMMAND_EP, ASSET_EP), direction=Direction.EGRESS),
+        ]
+        assert evaluate(policies, sender, WEBUI_EP, mode).allowed
+        reasons = explain(policies, sender, WEBUI_EP, mode)
+        assert [predicate for _, predicate in reasons] == [
+            first_failure(policy, sender, WEBUI_EP, mode) for policy, _ in reasons
+        ]
+        assert {policy for policy, predicate in reasons if predicate is None} == set(policies[:2])
+        assert "direction-orientation" in dict(reasons).values()
+
+    def test_explaining_reuses_the_table_build(self, monkeypatch):
+        # one set of 60 policies, 20 denied flows decided and explained in
+        # each mode: one build per mode, and only the builds derive shapes
+        builds, shapes = [], []
+        build_table, shape = matching._build_table, matching._shape
+
+        def counting_build(policies, mode):
+            table = build_table(policies, mode)
+            builds.append((mode, len(shapes)))
+            return table
+
+        monkeypatch.setattr(matching, "_build_table", counting_build)
+        monkeypatch.setattr(matching, "_shape", lambda *args: shapes.append(args) or shape(*args))
+        members = [
+            Policy(pair=(Endpoint(namespace=Namespace(f"NS-{i}", 1), port=443), Endpoint(cidr=Cidr(10, 0, i, 0, 24))),
+                   direction=i % 2)
+            for i in range(60)
+        ]
+        policies = PolicySet(members)
+        # odd flows reverse an egress policy, even ones miss an ingress policy's port
+        flows = [
+            (Endpoint(cidr=Cidr(10, 0, i, 9, 32)), Endpoint(namespace=Namespace(f"NS-{i}", 1), port=443 if i % 2 else 80))
+            for i in range(20)
+        ]
+        for mode in (STRICT, SEMANTIC):
+            for sender, receiver in flows:
+                assert not evaluate(policies, sender, receiver, mode).allowed
+                assert len(explain(policies, sender, receiver, mode)) == 60
+        assert builds == [(STRICT, 2 * 60), (SEMANTIC, 2 * 2 * 60)]
+        assert len(shapes) == 2 * 2 * 60
+        assert dict(explain(policies, *flows[1], SEMANTIC))[members[1]] == "direction-orientation"
 
 
 class TestIndexFreshness:

@@ -183,8 +183,9 @@ class TestPolicySet:
         state, _ = create_policy(new_system(), self.EP_A, self.EP_B, Direction.INGRESS)
         old = state.policies
         assert evaluate(old, self.EP_B, self.EP_A, MatchMode.STRICT).allowed
-        table = old.tables[MatchMode.STRICT]
-        before = {shapes: {key: list(found) for key, found in keyed.items()} for shapes, keyed in table.items()}
+        lookup, rows = table = old.tables[MatchMode.STRICT]
+        before = ({shapes: {key: list(found) for key, found in keyed.items()} for shapes, keyed in lookup.items()},
+                  list(rows))
         new_state, policy = create_policy(state, self.EP_B, self.EP_A, Direction.INGRESS)
         assert new_state.policies == {self.A_FROM_B, policy} and new_state.policies.tables == {}
         assert evaluate(new_state.policies, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
