@@ -2,7 +2,6 @@
 reachability analysis for Cilium-style policies."""
 
 from .errors import (
-    ContainmentUndefined,
     ContractViolation,
     DuplicateApplicationId,
     DuplicateEndpoint,
@@ -42,11 +41,8 @@ from .ingest import (
 from .matching import (
     MatchMode,
     MatchVerdict,
-    cidr_contains,
-    endpoint_matches,
     evaluate,
     explain,
-    policy_permits,
 )
 from .model import (
     Application,

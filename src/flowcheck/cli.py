@@ -2,10 +2,11 @@
 
 Three subcommands: ``check`` runs a scenario script against loaded
 policies and topology, ``reachability`` prints the all-pairs flow matrix,
-``explain`` walks every policy for one sender/receiver pair and shows why
-it matched or failed.  Exit codes: 0 success/allowed, 1 expectation
-mismatch or denied, 2 parse or configuration errors, 141 when the reader of
-standard output closed it early.
+``explain`` decides one sender/receiver pair and shows the policy that
+allows it or, for a denial, why each policy fails.  Exit codes: 0
+success/allowed, 1 expectation mismatch or denied, 2 parse or
+configuration errors, 141 when the reader of standard output closed it
+early.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ def _load_topology(path):
 
 
 def _origin_text(policy) -> str:
-    if policy.origin is None:
-        return "-"
-    return f"{policy.origin.document}#{policy.origin.rule_index}"
+    return "-" if policy.origin is None else str(policy.origin)
 
 
 def _policy_json(policy) -> dict:

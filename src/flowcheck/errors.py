@@ -74,10 +74,6 @@ class ListenEndpointViolation(ContractViolation):
     operation = "TransferData"
 
 
-class ContainmentUndefined(FlowcheckError):
-    """CIDR containment asked for an address wider than the block."""
-
-
 class IngestError(FlowcheckError):
     """Base class for document parsing failures."""
 

@@ -39,9 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .errors import ContainmentUndefined
 from .model import (
-    Cidr,
     Direction,
     Endpoint,
     Policy,
@@ -76,22 +74,6 @@ class MatchVerdict:
                 raise ValueError("allowed verdict must carry no failed predicates")
         elif self.matched_policy is not None:
             raise ValueError("denied verdict must not carry a matched policy")
-
-
-def cidr_contains(block: Cidr, address: Cidr) -> bool:
-    """True iff the first block.sig_bits bits of both addresses agree.
-
-    The address must be at least as narrow as the block; asking whether a
-    /30 lies inside a /32 is undefined and raises ContainmentUndefined.
-    """
-    if address.sig_bits < block.sig_bits:
-        raise ContainmentUndefined(
-            f"address {address} is wider than block {block}; containment undefined"
-        )
-    if block.sig_bits == 0:
-        return True
-    shift = 32 - block.sig_bits
-    return block.as_int() >> shift == address.as_int() >> shift
 
 
 # the key components, named as explain reports them, in the order checked
@@ -131,27 +113,6 @@ def _key(shape: Optional[tuple], fields) -> tuple:
     )
 
 
-def _mismatch(spec: Endpoint, concrete: Endpoint, mode: MatchMode) -> Optional[str]:
-    """Name of the first key component where concrete differs from spec, or None."""
-    spec_fields = spec.normalized
-    shape = _shape(spec_fields, mode)
-    for name, want, got in zip(_NAMES[mode], _key(shape, spec_fields), _key(shape, concrete.normalized)):
-        if want != got:
-            return name
-    return None
-
-
-def endpoint_matches(spec: Endpoint, concrete: Endpoint, mode: MatchMode) -> bool:
-    """Does the concrete endpoint satisfy the policy endpoint in this mode?"""
-    return _mismatch(spec, concrete, mode) is None
-
-
-def policy_permits(policy: Policy, sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode) -> bool:
-    """True iff the policy's oriented pair matches the concrete transfer."""
-    sender, receiver = _oriented(policy)
-    return endpoint_matches(sender, sender_ep, mode) and endpoint_matches(receiver, receiver_ep, mode)
-
-
 def _oriented(policy: Policy) -> tuple[Endpoint, Endpoint]:
     """(sender spec, receiver spec); ingress pairs are (receiver, sender)."""
     return policy.pair[::-1] if policy.direction is Direction.INGRESS else policy.pair
@@ -186,7 +147,9 @@ def _policy_set(policies: Iterable[Policy]) -> PolicySet:
 
 
 def permitting(policies: PolicySet, sender_ep: Endpoint, receiver_ep: Endpoint, mode: MatchMode) -> list[Policy]:
-    """Every member that permits the transfer, exactly as policy_permits decides."""
+    """Every member that permits the transfer: each of its sender and
+    receiver specs has the key of the concrete endpoint under the spec's
+    shape."""
     table = policies.tables.get(mode)
     if table is None:
         table = policies.tables[mode] = _build_table(policies, mode)

@@ -150,6 +150,9 @@ class PolicyOrigin:
     document: str
     rule_index: int
 
+    def __str__(self) -> str:
+        return f"{self.document}#{self.rule_index}"
+
 
 @dataclass(frozen=True)
 class Policy:
@@ -182,8 +185,7 @@ class Policy:
 def _origin_rank(policy: Policy) -> str:
     # orders structurally equal copies; with the canonical text it is the
     # canonical (text, origin) order witnesses and explanations follow
-    origin = policy.origin
-    return "" if origin is None else f"{origin.document}#{origin.rule_index}"
+    return "" if policy.origin is None else str(policy.origin)
 
 
 class PolicySet(Set):

@@ -24,13 +24,14 @@ from flowcheck import (
     Message,
     Namespace,
     Policy,
+    PolicySet,
     PolicyViolation,
     assemble_state,
-    cidr_contains,
     compute_reachability,
     create_endpoint,
     create_policy,
     deploy_application,
+    evaluate,
     expand_rules,
     new_system,
     parse_cilium_policy,
@@ -40,6 +41,7 @@ from flowcheck import (
     send_data,
     transfer_data,
 )
+from flowcheck.matching import permitting
 from flowcheck.model import endpoint_to_dict
 
 from test_ingest import declared_endpoint
@@ -154,26 +156,35 @@ def test_criterion_3_translation_fidelity(ui_policy_text, command_policy_text):
 
 
 def test_criterion_4_cidr_oracle_equivalence():
+    # asked of the semantic matcher: each block is the sender spec of an
+    # egress policy to peer, each address a concrete sender to peer
     start = time.perf_counter()
     checks = 0
+    peer = Endpoint(label="peer")
+
+    def egress(block):
+        return Policy(pair=(Endpoint(cidr=block), peer), direction=Direction.EGRESS)
 
     # exhaustive for prefixes >= 24: every block 10.29.1.x/p against every
-    # address in the surrounding 10.29.0.0/23
+    # address in the surrounding 10.29.0.0/23, one set of 256 blocks per prefix
     addresses = [(10 << 24) | (29 << 16) | offset for offset in range(512)]
     for prefix in range(24, 33):
-        for x in range(256):
-            block = Cidr(10, 29, 1, x, prefix)
-            members = block_addresses(block)
-            for addr_int in addresses:
-                addr = Cidr(
-                    (addr_int >> 24) & 0xFF,
-                    (addr_int >> 16) & 0xFF,
-                    (addr_int >> 8) & 0xFF,
-                    addr_int & 0xFF,
-                    32,
-                )
-                assert cidr_contains(block, addr) == (addr_int in members)
-                checks += 1
+        blocks = [Cidr(10, 29, 1, x, prefix) for x in range(256)]
+        policies = PolicySet(egress(block) for block in blocks)
+        members = [block_addresses(block) for block in blocks]
+        for addr_int in addresses:
+            addr = Cidr(
+                (addr_int >> 24) & 0xFF,
+                (addr_int >> 16) & 0xFF,
+                (addr_int >> 8) & 0xFF,
+                addr_int & 0xFF,
+                32,
+            )
+            found = permitting(policies, Endpoint(cidr=addr), peer, MatchMode.SEMANTIC)
+            assert sorted(policy.pair[0].cidr.block4 for policy in found) == [
+                x for x in range(256) if addr_int in members[x]
+            ]
+            checks += len(blocks)
 
     # 10,000 random pairs for prefixes 0-23 against the stdlib oracle
     rng = random.Random(0xCAFE)
@@ -192,7 +203,8 @@ def test_criterion_4_cidr_oracle_equivalence():
                 rng.randint(0, 255), rng.randint(0, 255), rng.randint(0, 255), rng.randint(0, 255),
                 rng.randint(prefix, 32),
             )
-        assert cidr_contains(block, addr) == contains_by_ipaddress(block, addr)
+        verdict = evaluate([egress(block)], Endpoint(cidr=addr), peer, MatchMode.SEMANTIC)
+        assert verdict.allowed == contains_by_ipaddress(block, addr)
         checks += 1
 
     elapsed = time.perf_counter() - start

@@ -1,8 +1,11 @@
 """Match-engine behavior: containment, endpoint matching, policy verdicts.
 
-Derived expectations here were computed with the enumeration oracle in
-oracles.py before being frozen (10.28.1.2/30 spans .0-.3; 10.29.1.23/28
-spans .16-.31).
+Every verdict here comes from ``evaluate``, the code that decides flows:
+a question about one endpoint spec is asked of a one-policy egress set
+whose receiver is the fixed ``PEER`` (see ``allows``).  Derived
+expectations here were computed with the enumeration oracle in oracles.py
+before being frozen (10.28.1.2/30 spans .0-.3; 10.29.1.23/28 spans
+.16-.31).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import pytest
 from flowcheck import matching, model
 from flowcheck import (
     Cidr,
-    ContainmentUndefined,
     Direction,
     Endpoint,
     MatchMode,
@@ -22,13 +24,10 @@ from flowcheck import (
     Namespace,
     Policy,
     PolicySet,
-    cidr_contains,
-    endpoint_matches,
     evaluate,
     explain,
     create_policy,
     new_system,
-    policy_permits,
 )
 from oracles import contains_by_enumeration, contains_by_ipaddress, first_failure
 
@@ -40,29 +39,36 @@ WEBUI_EP = Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI")
 OTHER_CLIENT_EP = Endpoint(cidr=Cidr(10, 28, 1, 4, 30))
 COMMAND_EP = Endpoint(namespace=Namespace("NS-Command", 1), label="Command")
 ASSET_EP = Endpoint(cidr=Cidr(10, 29, 1, 23, 28), port=5443)
+PEER = Endpoint(label="peer")
+
+
+def allows(spec: Endpoint, concrete: Endpoint, mode: MatchMode) -> bool:
+    """Does the matcher let concrete through a policy endpoint spec?"""
+    return evaluate([Policy((spec, PEER), Direction.EGRESS)], concrete, PEER, mode).allowed
 
 
 class TestCidrContains:
     def test_host_in_block(self):
-        assert cidr_contains(Cidr(10, 28, 1, 2, 30), Cidr(10, 28, 1, 3, 32)) is True
+        assert allows(Endpoint(cidr=Cidr(10, 28, 1, 2, 30)), Endpoint(cidr=Cidr(10, 28, 1, 3, 32)), SEMANTIC) is True
 
     def test_host_in_next_block(self):
-        assert cidr_contains(Cidr(10, 28, 1, 2, 30), Cidr(10, 28, 1, 4, 32)) is False
+        assert allows(Endpoint(cidr=Cidr(10, 28, 1, 2, 30)), Endpoint(cidr=Cidr(10, 28, 1, 4, 32)), SEMANTIC) is False
 
     def test_zero_prefix_contains_everything(self):
-        assert cidr_contains(Cidr(0, 0, 0, 0, 0), Cidr(203, 0, 113, 9, 32)) is True
+        # 10.0.0.0/0, not the 0.0.0.0/0 sentinel: a real prefix-0 block
+        assert allows(Endpoint(cidr=Cidr(10, 0, 0, 0, 0)), Endpoint(cidr=Cidr(203, 0, 113, 9, 32)), SEMANTIC) is True
 
     def test_slash28_with_host_bits_set(self):
-        assert cidr_contains(Cidr(10, 29, 1, 23, 28), Cidr(10, 29, 1, 17, 32)) is True
-        assert cidr_contains(Cidr(10, 29, 1, 23, 28), Cidr(10, 29, 1, 15, 32)) is False
-        assert cidr_contains(Cidr(10, 29, 1, 23, 28), Cidr(10, 29, 1, 32, 32)) is False
+        assert allows(Endpoint(cidr=Cidr(10, 29, 1, 23, 28)), Endpoint(cidr=Cidr(10, 29, 1, 17, 32)), SEMANTIC) is True
+        assert allows(Endpoint(cidr=Cidr(10, 29, 1, 23, 28)), Endpoint(cidr=Cidr(10, 29, 1, 15, 32)), SEMANTIC) is False
+        assert allows(Endpoint(cidr=Cidr(10, 29, 1, 23, 28)), Endpoint(cidr=Cidr(10, 29, 1, 32, 32)), SEMANTIC) is False
 
     def test_equal_blocks_contained(self):
-        assert cidr_contains(Cidr(10, 28, 1, 2, 30), Cidr(10, 28, 1, 2, 30)) is True
+        assert allows(Endpoint(cidr=Cidr(10, 28, 1, 2, 30)), Endpoint(cidr=Cidr(10, 28, 1, 2, 30)), SEMANTIC) is True
 
     def test_wider_address_undefined(self):
-        with pytest.raises(ContainmentUndefined):
-            cidr_contains(Cidr(10, 28, 1, 2, 30), Cidr(10, 28, 1, 2, 28))
+        # a concrete block wider than the spec is never contained
+        assert allows(Endpoint(cidr=Cidr(10, 28, 1, 2, 30)), Endpoint(cidr=Cidr(10, 28, 1, 2, 28)), SEMANTIC) is False
 
     def test_agrees_with_enumeration_oracle_sample(self):
         rng = random.Random(20260809)
@@ -70,7 +76,7 @@ class TestCidrContains:
             prefix = rng.randint(24, 32)
             block = Cidr(10, rng.randint(0, 255), rng.randint(0, 255), rng.randint(0, 255), prefix)
             addr = Cidr(10, block.block2, block.block3, rng.randint(0, 255), 32)
-            assert cidr_contains(block, addr) == contains_by_enumeration(block, addr)
+            assert allows(Endpoint(cidr=block), Endpoint(cidr=addr), SEMANTIC) == contains_by_enumeration(block, addr)
 
     def test_agrees_with_ipaddress_oracle_sample(self):
         rng = random.Random(99)
@@ -83,81 +89,81 @@ class TestCidrContains:
                 rng.randint(0, 255), rng.randint(0, 255), rng.randint(0, 255), rng.randint(0, 255),
                 rng.randint(block.sig_bits, 32),
             )
-            assert cidr_contains(block, addr) == contains_by_ipaddress(block, addr)
+            assert allows(Endpoint(cidr=block), Endpoint(cidr=addr), SEMANTIC) == contains_by_ipaddress(block, addr)
 
 
 class TestEndpointMatches:
     def test_strict_identity(self):
-        assert endpoint_matches(CLIENT_EP, CLIENT_EP, STRICT)
+        assert allows(CLIENT_EP, CLIENT_EP, STRICT)
 
     def test_strict_sentinel_normalization(self):
         spec = Endpoint(cidr=Cidr(10, 28, 1, 2, 30), namespace=Namespace("-", 0))
-        assert endpoint_matches(spec, CLIENT_EP, STRICT)
-        assert endpoint_matches(CLIENT_EP, spec, STRICT)
+        assert allows(spec, CLIENT_EP, STRICT)
+        assert allows(CLIENT_EP, spec, STRICT)
 
     def test_strict_field_difference(self):
-        assert not endpoint_matches(WEBUI_EP, CLIENT_EP, STRICT)
+        assert not allows(WEBUI_EP, CLIENT_EP, STRICT)
         near = Endpoint(namespace=Namespace("NS-UI", 1), port=80, label="WebUI")
-        assert not endpoint_matches(WEBUI_EP, near, STRICT)
+        assert not allows(WEBUI_EP, near, STRICT)
 
     def test_strict_namespace_id_matters(self):
         a = Endpoint(namespace=Namespace("NS-UI", 1))
         b = Endpoint(namespace=Namespace("NS-UI", 2))
-        assert not endpoint_matches(a, b, STRICT)
+        assert not allows(a, b, STRICT)
 
     def test_semantic_cidr_containment(self):
         spec = Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
-        assert endpoint_matches(spec, Endpoint(cidr=Cidr(10, 28, 1, 1, 32)), SEMANTIC)
-        assert not endpoint_matches(spec, Endpoint(cidr=Cidr(10, 28, 1, 4, 32)), SEMANTIC)
+        assert allows(spec, Endpoint(cidr=Cidr(10, 28, 1, 1, 32)), SEMANTIC)
+        assert not allows(spec, Endpoint(cidr=Cidr(10, 28, 1, 4, 32)), SEMANTIC)
 
     def test_semantic_absent_fields_unconstrained(self):
         spec = Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
         concrete = Endpoint(
             cidr=Cidr(10, 28, 1, 1, 32), namespace=Namespace("NS-X"), port=9999, label="whatever"
         )
-        assert endpoint_matches(spec, concrete, SEMANTIC)
+        assert allows(spec, concrete, SEMANTIC)
 
     def test_semantic_selector_fields(self):
         spec = Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI")
         concrete = Endpoint(
             namespace=Namespace("NS-UI", 1), port=443, label="WebUI", cidr=Cidr(10, 0, 0, 7, 32)
         )
-        assert endpoint_matches(spec, concrete, SEMANTIC)
+        assert allows(spec, concrete, SEMANTIC)
 
     def test_semantic_namespace_by_name_only(self):
         spec = Endpoint(namespace=Namespace("NS-UI", 1))
         concrete = Endpoint(namespace=Namespace("NS-UI", 9))
-        assert endpoint_matches(spec, concrete, SEMANTIC)
+        assert allows(spec, concrete, SEMANTIC)
 
     def test_semantic_label_mismatch(self):
         spec = Endpoint(label="WebUI")
-        assert not endpoint_matches(spec, Endpoint(label="Command"), SEMANTIC)
+        assert not allows(spec, Endpoint(label="Command"), SEMANTIC)
 
     def test_semantic_missing_required_field(self):
         spec = Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
-        assert not endpoint_matches(spec, Endpoint(label="no-cidr"), SEMANTIC)
+        assert not allows(spec, Endpoint(label="no-cidr"), SEMANTIC)
 
     def test_semantic_wider_concrete_cidr_no_match(self):
         spec = Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
-        assert not endpoint_matches(spec, Endpoint(cidr=Cidr(10, 28, 1, 2, 28)), SEMANTIC)
+        assert not allows(spec, Endpoint(cidr=Cidr(10, 28, 1, 2, 28)), SEMANTIC)
 
 
 class TestPolicyPermits:
     def test_ingress_orientation(self):
         policy = Policy(pair=(WEBUI_EP, CLIENT_EP), direction=Direction.INGRESS)
-        assert policy_permits(policy, CLIENT_EP, WEBUI_EP, STRICT)
+        assert evaluate([policy], CLIENT_EP, WEBUI_EP, STRICT).allowed
 
     def test_egress_orientation(self):
         policy = Policy(pair=(COMMAND_EP, ASSET_EP), direction=Direction.EGRESS)
-        assert policy_permits(policy, COMMAND_EP, ASSET_EP, STRICT)
+        assert evaluate([policy], COMMAND_EP, ASSET_EP, STRICT).allowed
 
     def test_wrong_client_denied(self):
         policy = Policy(pair=(WEBUI_EP, OTHER_CLIENT_EP), direction=Direction.INGRESS)
-        assert not policy_permits(policy, CLIENT_EP, WEBUI_EP, STRICT)
+        assert not evaluate([policy], CLIENT_EP, WEBUI_EP, STRICT).allowed
 
     def test_swapped_pair_denied(self):
         policy = Policy(pair=(WEBUI_EP, CLIENT_EP), direction=Direction.INGRESS)
-        assert not policy_permits(policy, WEBUI_EP, CLIENT_EP, STRICT)
+        assert not evaluate([policy], WEBUI_EP, CLIENT_EP, STRICT).allowed
 
 
 class TestEvaluate:

@@ -1,5 +1,6 @@
 """The README's examples run as written: the library quick start, and every
-``flowcheck`` command line, in process and from the repository root."""
+``flowcheck`` command line, in process and from the repository root; every
+``fc.<name>`` it mentions is a real attribute of the package."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import flowcheck
 from flowcheck.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +37,12 @@ COMMANDS = _commands()
 def test_library_quick_start_runs():
     (code,) = _blocks("python")
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_every_named_api_exists():
+    names = set(re.findall(r"\bfc\.(\w+)", README))
+    assert {"evaluate", "explain", "PolicySet"} <= names
+    assert [name for name in sorted(names) if not hasattr(flowcheck, name)] == []
 
 
 def test_every_subcommand_has_an_example():
