@@ -35,8 +35,6 @@ from .ingest import (
     parse_cilium_policy,
     parse_scenario,
     parse_topology,
-    policies_from_text,
-    policies_to_text,
 )
 from .matching import (
     MatchMode,

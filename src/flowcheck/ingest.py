@@ -13,11 +13,12 @@ Three input formats:
   four scenario actions keyed by name, referencing endpoints and policies
   by the symbolic names earlier steps declared.
 
-All three are loaded by ``_load_yaml``: PyYAML's libyaml loader when
-PyYAML has it, its pure-Python one otherwise, with the same strict
-constructors on either (no duplicate keys, ints of at most 64 bits) and a
-bound of ``MAX_NESTING`` levels on collection nesting, checked on the
-parser's events before anything is composed.
+All three are loaded by ``_load_yaml`` in one pass: libyaml's scanner and
+parser when PyYAML has them, its pure-Python ones otherwise, and on
+either PyYAML's own composer and the same strict constructors (no
+duplicate keys, ints of at most 64 bits).  The composer bounds collection
+nesting at ``MAX_NESTING`` levels, so a deeper file is rejected before
+any value is constructed.
 
 Scenario and topology endpoint fields use sentinel values for
 "unconstrained" (cidr 0.0.0.0/0, namespace "-", port 0, empty label);
@@ -29,7 +30,6 @@ a /0 endpoint as "no address needed".
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Hashable
 from dataclasses import dataclass, replace
@@ -61,8 +61,6 @@ from .model import (
     new_system,
     normalize_fields,
     parse_cidr,
-    policy_from_dict,
-    policy_to_dict,
 )
 from .scenario import (
     EXPECT_OK,
@@ -81,24 +79,21 @@ NAMESPACE_LABEL_KEY = "io.kubernetes.pod.namespace"
 DEFAULT_NAMESPACE_ID = 1
 
 
-# libyaml's scanner, parser and composer when PyYAML was built with it (five
-# times faster on a 100 KB scenario), the pure-Python ones otherwise; the
-# constructors below run on either.
+# libyaml's scanner and parser when PyYAML was built with it, the
+# pure-Python ones otherwise.  Composing and constructing run PyYAML's own
+# Python code on either, so the depth bound and the strict constructors
+# below hold on both.
 _BASE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-# Deepest collection nesting a document may have.  libyaml's composer
-# recurses once per level and crashes the process far below Python's
-# recursion limit, so _load_yaml checks the depth on the parser's events
-# before composing; real files nest a few levels.
+# Deepest collection nesting a document may have, checked as each
+# collection is composed, before any value is constructed.  The composer
+# recurses once per level, and libyaml's own C composer (which no loader
+# here uses) crashes the process far below Python's recursion limit; real
+# files nest a few levels.
 MAX_NESTING = 100
 
-
-class _StrictLoader(_BASE_LOADER):
-    """Safe loader that rejects duplicate mapping keys instead of
-    silently keeping the last one, and ints wider than 64 bits."""
-
-
 _MERGE_TAG = "tag:yaml.org,2002:merge"
+_Composer = yaml.composer.Composer
 
 
 def _merged(loader, node, deep) -> dict:
@@ -152,33 +147,51 @@ def _bounded_int(loader, node):
     return value
 
 
-_StrictLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping
-)
-_StrictLoader.add_constructor("tag:yaml.org,2002:int", _bounded_int)
+def _strict_loader(base: type) -> type:
+    """A safe loader on ``base`` that bounds nesting, rejects duplicate
+    mapping keys instead of silently keeping the last one, and rejects
+    ints wider than 64 bits."""
+
+    class Strict(base):
+        # PyYAML's composer, also over libyaml's parser events
+        compose_document = _Composer.compose_document
+        compose_scalar_node = _Composer.compose_scalar_node
+        compose_sequence_node = _Composer.compose_sequence_node
+        compose_mapping_node = _Composer.compose_mapping_node
+
+        def get_single_node(self):
+            # CParser.__init__ never runs Composer.__init__
+            self.anchors, self.depth = {}, 0
+            return _Composer.get_single_node(self)
+
+        def compose_node(self, parent, index):
+            # CParser.check_event matches exact classes, not a base class
+            if not self.check_event(yaml.SequenceStartEvent, yaml.MappingStartEvent):
+                return _Composer.compose_node(self, parent, index)
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise yaml.composer.ComposerError(
+                    None, None, f"collections nested deeper than {MAX_NESTING} levels",
+                    self.peek_event().start_mark,
+                )
+            node = _Composer.compose_node(self, parent, index)
+            self.depth -= 1
+            return node
+
+    Strict.__name__ = Strict.__qualname__ = f"Strict{base.__name__}"
+    Strict.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping)
+    Strict.add_constructor("tag:yaml.org,2002:int", _bounded_int)
+    return Strict
 
 
-_OPEN = (yaml.SequenceStartEvent, yaml.MappingStartEvent)
-_CLOSE = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
+_StrictLoader = _strict_loader(_BASE_LOADER)
 
 
 def _load_yaml(text: str, what: str):
-    # The depth pass streams events and keeps no stack, so it rejects any
-    # depth without recursing.  Scalar constructors raise ValueError (e.g. on
-    # "2001-02-30"), and constructing a mapping recurses into aliased
-    # mappings not yet built, however shallow the text.
+    # Scalar constructors raise ValueError (e.g. on "2001-02-30"), and
+    # constructing a mapping recurses into aliased mappings not yet built,
+    # however shallow the text.
     try:
-        depth = 0
-        for event in yaml.parse(text, Loader=_BASE_LOADER):
-            if isinstance(event, _OPEN):
-                depth += 1
-                if depth > MAX_NESTING:
-                    raise MalformedYaml(
-                        f"{what}: collections nested deeper than {MAX_NESTING} levels\n"
-                        f"{event.start_mark}"
-                    )
-            elif isinstance(event, _CLOSE):
-                depth -= 1
         return yaml.load(text, Loader=_StrictLoader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise MalformedYaml(f"{what}: {exc}") from exc
@@ -503,11 +516,15 @@ def parse_endpoint_fields(data, where: str) -> Endpoint:
 _APP_KEYS = frozenset({"id", "send", "listen", "receive_only"})
 
 
-def _resolve(symbols: Mapping, ref, where: str, kind: str = "endpoint"):
+def _declared(names, ref, where: str, kind: str) -> str:
     ref = _require_str(ref, where)
-    if ref not in symbols:
+    if ref not in names:
         raise UnknownEndpointReference(f"{where}: undeclared {kind} {ref!r}")
-    return symbols[ref]
+    return ref
+
+
+def _resolve(endpoints: Mapping, ref, where: str) -> Endpoint:
+    return endpoints[_declared(endpoints, ref, where, "endpoint")]
 
 
 def _parse_application(entry: Mapping, where: str, endpoints: Mapping) -> dict:
@@ -567,7 +584,8 @@ def parse_topology(text: str):
 
 # Each action: the operation an expected violation names (send_data's "deny"
 # is a refused transfer) and the keys besides "expect".  Verdicts read every
-# deployed policy, so deploy_application only resolves its "policies" list.
+# deployed policy, so deploy_application only checks that the names in its
+# "policies" list were declared.
 _ACTIONS = {
     "create_endpoint": ("CreateEndpoint", _ENDPOINT_KEYS | {"name"}),
     "create_policy": ("CreatePolicy", {"name", "first", "second", "direction"}),
@@ -622,7 +640,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
             raise MalformedYaml(f"scenario: mode must be 'strict' or 'semantic', got {data['mode']!r}")
 
     endpoints: dict[str, Endpoint] = dict(symbols or {})
-    policies: dict[str, Policy] = {}
+    policies: set[str] = set()  # names only: no step reads a policy back
 
     def declare(body: Mapping, where: str) -> str:
         name = _require_str(body.get("name"), f"{where}.name")
@@ -653,12 +671,12 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
             first = _resolve(endpoints, body.get("first"), f"{where}.first")
             second = _resolve(endpoints, body.get("second"), f"{where}.second")
             name = declare(body, where)
-            policies[name] = Policy(pair=(first, second), direction=Direction(direction))
+            policies.add(name)
             args = {"name": name, "first": first, "second": second,
                     "direction": Direction(direction)}
         elif action == "deploy_application":
             for j, ref in enumerate(_require_list(body.get("policies", []), f"{where}.policies")):
-                _resolve(policies, ref, f"{where}.policies[{j}]", "policy")
+                _declared(policies, ref, f"{where}.policies[{j}]", "policy")
             args = _parse_application(body, where, endpoints)
         else:  # send_data
             args = {
@@ -671,7 +689,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
     return ScenarioScript(steps=tuple(steps), mode=mode)
 
 
-# --- assembling systems and canonical policy dumps ---------------------------
+# --- assembling systems ------------------------------------------------------
 
 
 def assemble_state(policies: Sequence[Policy] = (), topology=None):
@@ -696,17 +714,3 @@ def assemble_state(policies: Sequence[Policy] = (), topology=None):
                 names[record.app_id] = record.name
     return replace(state, policies=PolicySet(policies)), names
 
-
-def policies_to_text(policies: Sequence[Policy]) -> str:
-    """Canonical serialization of policies (deterministic field order)."""
-    return json.dumps(
-        {"policies": [policy_to_dict(p) for p in policies]}, sort_keys=True, indent=2
-    ) + "\n"
-
-
-def policies_from_text(text: str) -> list[Policy]:
-    """Inverse of policies_to_text."""
-    try:
-        return [policy_from_dict(d) for d in json.loads(text)["policies"]]
-    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise MalformedYaml(f"policy dump: {exc!r}") from exc

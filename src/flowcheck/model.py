@@ -338,27 +338,12 @@ def endpoint_to_dict(ep: Endpoint) -> dict:
     return out
 
 
-def endpoint_from_dict(data: Mapping) -> Endpoint:
-    cidr = parse_cidr(data["cidr"]) if "cidr" in data else None
-    namespace = None
-    if "namespace" in data:
-        namespace = Namespace(data["namespace"]["name"], data["namespace"]["id"])
-    return Endpoint(cidr=cidr, namespace=namespace, port=data.get("port"), label=data.get("label"))
-
-
 def policy_to_dict(policy: Policy) -> dict:
     return {
         "direction": int(policy.direction),
         "first": endpoint_to_dict(policy.pair[0]),
         "second": endpoint_to_dict(policy.pair[1]),
     }
-
-
-def policy_from_dict(data: Mapping) -> Policy:
-    return Policy(
-        pair=(endpoint_from_dict(data["first"]), endpoint_from_dict(data["second"])),
-        direction=Direction(data["direction"]),
-    )
 
 
 def canonical_endpoint_text(ep: Endpoint) -> str:

@@ -3,8 +3,10 @@
 Every scenario under ``data/scenarios`` is checked in both formats with the
 inputs its header names, and ``explain`` is run on allowed and denied
 flows in both modes, among them denials that answer
-``direction-orientation``.  The scenarios use /30 and /28 client blocks,
-which semantic mode refuses, so their checks run in strict mode only.
+``direction-orientation``.  Each case runs on both YAML loader bases:
+libyaml's parser when PyYAML has it, and PyYAML's own.  The scenarios use
+/30 and /28 client blocks, which semantic mode refuses, so their checks
+run in strict mode only.
 
 ``tests/data/cli_golden.json`` holds each case's command line, exit code
 and standard output.  After a deliberate change to the output, rewrite it
@@ -24,7 +26,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
+from flowcheck import ingest
 from flowcheck.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +71,9 @@ def _cases() -> dict[str, list[str]]:
 
 CASES = _cases()
 
+# the loader on libyaml's parser when PyYAML has it, and on PyYAML's own
+LOADERS = [ingest._StrictLoader] + ([ingest._strict_loader(yaml.SafeLoader)] if yaml.__with_libyaml__ else [])
+
 
 @functools.cache
 def golden() -> dict:
@@ -94,7 +101,9 @@ def test_flows_cover_reversed_denials_and_allows():
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_matches_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    assert run(CASES[name]) == golden()[name]
+    for loader in LOADERS:
+        monkeypatch.setattr(ingest, "_StrictLoader", loader)
+        assert run(CASES[name]) == golden()[name], loader.__name__
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ from flowcheck import (
     parse_cilium_policy,
     parse_scenario,
     parse_topology,
-    policies_from_text,
-    policies_to_text,
 )
 from flowcheck.cli import main
 
@@ -242,11 +240,6 @@ spec:
 """
         policies = expand_rules(parse_cilium_policy(text))
         assert policies[0].pair[1] == Endpoint(namespace=Namespace("NS-X", 1), label="Y")
-
-    def test_round_trip_serialization(self, ui_policy_text, command_policy_text):
-        policies = expand_rules(parse_cilium_policy(ui_policy_text))
-        policies += expand_rules(parse_cilium_policy(command_policy_text))
-        assert policies_from_text(policies_to_text(policies)) == policies
 
     @pytest.mark.parametrize("mode", [MatchMode.STRICT, MatchMode.SEMANTIC])
     def test_world_block_still_needs_an_address(self, mode):

@@ -1,10 +1,8 @@
-"""Exact warnings for unknown policy keys, and rejection of bad policy dumps."""
+"""Exact warnings for unknown policy keys."""
 
 from __future__ import annotations
 
-import pytest
-
-from flowcheck import MalformedYaml, parse_cilium_policy, policies_from_text
+from flowcheck import parse_cilium_policy
 
 # one unknown key at each of the eight policy nodes, two at spec
 NOISY_POLICY = """\
@@ -49,20 +47,3 @@ def test_unknown_key_warnings_exact():
         "spec.ingress[0].toPorts[0].ports[0]: unknown key 'protocol'",
         "spec.egress[0]: unknown key 'toFQDNs'",
     )
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json",
-        "[]",
-        '{"policies": 3}',
-        '{"policies": ["x"]}',
-        '{"policies": [{"direction": 5, "first": {"label": "a"}, "second": {"label": "b"}}]}',
-        '{"policies": [{"direction": 0, "first": {}, "second": {"label": "b"}}]}',
-        '{"policies": [{"direction": 0, "first": {"namespace": {"name": ""}}, "second": {"label": "b"}}]}',
-    ],
-)
-def test_bad_policy_dump_rejected(text):
-    with pytest.raises(MalformedYaml):
-        policies_from_text(text)

@@ -29,7 +29,6 @@ from flowcheck import (
     send_data,
 )
 from flowcheck.errors import InvalidCidrString
-from flowcheck.model import endpoint_from_dict, endpoint_to_dict, policy_from_dict, policy_to_dict
 
 
 class TestCidr:
@@ -125,18 +124,6 @@ class TestPolicy:
         b = Endpoint(label="b")
         assert Policy(pair=(a, b), direction=0) != Policy(pair=(b, a), direction=0)
         assert Policy(pair=(a, b), direction=0) != Policy(pair=(a, b), direction=1)
-
-    def test_dict_round_trip(self):
-        policy = Policy(
-            pair=(
-                Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI"),
-                Endpoint(cidr=Cidr(10, 28, 1, 2, 30)),
-            ),
-            direction=Direction.INGRESS,
-        )
-        assert policy_from_dict(policy_to_dict(policy)) == policy
-        ep = Endpoint(cidr=Cidr(1, 2, 3, 4, 32), port=80)
-        assert endpoint_from_dict(endpoint_to_dict(ep)) == ep
 
     def test_canonical_text_deterministic(self):
         policy = Policy(pair=(Endpoint(label="a"), Endpoint(label="b")), direction=1)

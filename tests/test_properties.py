@@ -22,6 +22,8 @@ from flowcheck import (
     Policy,
     PolicyOrigin,
     PolicySet,
+    canonical_endpoint_text,
+    canonical_policy_text,
     create_endpoint,
     create_policy,
     deploy_application,
@@ -33,6 +35,7 @@ from flowcheck import (
     send_data,
 )
 from flowcheck.matching import permitting
+from flowcheck.model import SENTINEL_CIDR, SENTINEL_NAMESPACE
 from oracles import canonical_rank, first_failure, permits
 
 # small pools keep collisions (and therefore matches) likely
@@ -308,13 +311,53 @@ class TestExpansionProperties:
         ) + sum(len(r["toCIDRSet"]) * max(1, len(r["toPorts"])) for r in egress)
         assert len(expand_rules(doc)) == expected
 
-    @given(st.lists(rule_ingress_st, min_size=1, max_size=2))
-    def test_expansion_round_trip(self, ingress):
-        from flowcheck import policies_from_text, policies_to_text
 
-        doc = parse_cilium_policy(yaml.safe_dump(_doc_dict(ingress, [])))
-        policies = expand_rules(doc)
-        assert policies_from_text(policies_to_text(policies)) == policies
+# each field's ways to say "unconstrained": absent, or its sentinel value
+UNCONSTRAINED = {
+    "cidr": (None, SENTINEL_CIDR), "namespace": (None, SENTINEL_NAMESPACE),
+    "port": (None,), "label": (None, ""),
+}
+sentinel_endpoint_st = endpoints_with(st.just(SENTINEL_CIDR) | cidr_st)
+
+
+def near_endpoints(ep):
+    """New endpoint objects equal to ``ep``, or ``ep`` with one field set to
+    absent or to its sentinel."""
+    fields = {name: getattr(ep, name) for name in UNCONSTRAINED}
+    variants = [fields] + [{**fields, name: value} for name, values in UNCONSTRAINED.items() for value in values]
+    return st.sampled_from(variants).filter(lambda d: any(v is not None for v in d.values())).map(
+        lambda d: Endpoint(**d)
+    )
+
+
+def near_policies(policy):
+    """New policy objects equal to ``policy`` under any origin, or differing
+    in an endpoint field, the pair order or the direction."""
+    first, second = map(near_endpoints, policy.pair)
+    return st.builds(
+        Policy,
+        pair=st.tuples(first, second) | st.tuples(second, first),
+        direction=st.just(policy.direction) | direction_st,
+        origin=origin_st,
+    )
+
+
+class TestCanonicalText:
+    """Canonical text tells values apart exactly as equality does: the
+    witness order and PolicySet's members both rest on it."""
+
+    @given(st.data())
+    def test_endpoint_text_is_injective(self, data):
+        a = data.draw(sentinel_endpoint_st)
+        b = data.draw(near_endpoints(a) | sentinel_endpoint_st)
+        assert (canonical_endpoint_text(a) == canonical_endpoint_text(b)) == (a == b)
+
+    @given(st.data())
+    def test_policy_text_is_injective(self, data):
+        endpoints = st.tuples(sentinel_endpoint_st, sentinel_endpoint_st)
+        p = data.draw(st.builds(Policy, pair=endpoints, direction=direction_st, origin=origin_st))
+        q = data.draw(near_policies(p) | st.builds(Policy, pair=endpoints, direction=direction_st))
+        assert (canonical_policy_text(p) == canonical_policy_text(q)) == (p == q)
 
 
 class SystemOperations(RuleBasedStateMachine):

@@ -1,12 +1,12 @@
 """The YAML load path on both loader bases: libyaml's and PyYAML's own.
 
-``ingest._StrictLoader`` is built on libyaml when PyYAML has it and on the
-pure-Python loader otherwise.  The strict constructors run on either, so
-the same documents must give the same values or be rejected by both; the
-edge cases of YAML syntax where they differ are pinned in
-``KNOWN_DIFFERENCES``.  The
-``strict_loader`` fixture runs ``_load_yaml`` on each base, so the
-fallback stays tested on a host that has libyaml.
+``ingest._StrictLoader`` reads with libyaml's scanner and parser when
+PyYAML has them and with the pure-Python ones otherwise.  PyYAML's composer,
+with its nesting bound, and the strict constructors run on either, so the
+same documents must give the same values or be rejected by both; the edge
+cases of YAML syntax where the parsers differ are pinned in
+``KNOWN_DIFFERENCES``.  The ``strict_loader`` fixture runs ``_load_yaml``
+on each base, so the fallback stays tested on a host that has libyaml.
 """
 
 from __future__ import annotations
@@ -19,16 +19,8 @@ from flowcheck import MalformedYaml
 from flowcheck import ingest
 
 
-def _strict(base):
-    """A loader on ``base`` with exactly the constructors of _StrictLoader."""
-    return type(
-        f"Strict{base.__name__}", (base,),
-        {"yaml_constructors": dict(ingest._StrictLoader.yaml_constructors)},
-    )
-
-
 BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
-LOADERS = {base.__name__: _strict(base) for base in BASES}
+LOADERS = {base.__name__: ingest._strict_loader(base) for base in BASES}
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 
@@ -40,8 +32,7 @@ def test_base_is_libyaml_when_available():
 
 @pytest.fixture(params=BASES, ids=lambda base: base.__name__)
 def strict_loader(request, monkeypatch):
-    """_load_yaml with its depth pass and load on one base."""
-    monkeypatch.setattr(ingest, "_BASE_LOADER", request.param)
+    """_load_yaml, with its nesting bound, on one base."""
     monkeypatch.setattr(ingest, "_StrictLoader", LOADERS[request.param.__name__])
     return lambda text: ingest._load_yaml(text, "document")
 
@@ -91,6 +82,15 @@ def test_nesting_bound_counts_block_collections(strict_loader):
     deep = "".join(" " * level + "a:\n" for level in range(depth)) + " " * depth + "- x\n"
     with pytest.raises(MalformedYaml, match=f"nested deeper than {depth} levels"):
         strict_loader(deep)
+
+
+def test_each_file_is_parsed_once(strict_loader, monkeypatch):
+    # the nesting bound needs no separate pass over the parser's events
+    def no_second_parse(*args, **kwargs):
+        raise AssertionError("yaml.parse called")
+
+    monkeypatch.setattr(yaml, "parse", no_second_parse)
+    assert strict_loader("a: [1, {b: 2}]\n") == {"a": [1, {"b": 2}]}
 
 
 def test_alias_chain_is_config_error(strict_loader):
