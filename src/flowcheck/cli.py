@@ -98,8 +98,7 @@ def parse_endpoint_spec(spec: str) -> Endpoint:
         fields[key] = value.strip()
     if "namespace" in fields:
         name, sep, ns_id = fields["namespace"].partition("/")
-        fields["namespace"] = name
-        if sep and name != "-":
+        if sep:
             fields["namespace"] = {"name": name, "id": parse_decimal(ns_id)}
     if "port" in fields:
         fields["port"] = parse_decimal(fields["port"])

@@ -233,14 +233,22 @@ def _mappings(value, where: str):
         yield f"{where}[{i}]", _require_mapping(entry, f"{where}[{i}]")
 
 
+# policy keys that narrow what a rule allows: ignoring one with a value widens it
+_WIDENING = frozenset("matchExpressions except rules ingressDeny egressDeny fromRequires toRequires".split())
+
+
 def _check_keys(node: Mapping, allowed, where: str, warnings: Optional[list] = None) -> None:
     """Report the keys of ``node`` outside ``allowed``.
 
     Policy documents pass ``warnings`` and get one warning per unknown key,
-    in document order.  Topology and scenario files pass none and fail.
+    in document order, failing only on a non-empty ``_WIDENING`` key or a
+    protocol other than TCP or ANY.  Other files pass none and fail.
     """
     unknown = [key for key in node if key not in allowed]
     if warnings is not None:
+        for key in unknown:
+            if node[key] and (key in _WIDENING or key == "protocol" and node[key] not in ("TCP", "ANY")):
+                raise MalformedYaml(f"{where}: unsupported key {key!r}: ignoring it would widen what is allowed")
         warnings.extend(f"{where}: unknown key {key!r}" for key in unknown)
     elif unknown:
         raise MalformedYaml(f"{where}: unknown keys {sorted(unknown, key=repr)}")
@@ -365,8 +373,8 @@ def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> EgressRule:
 def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
     """Parse the accepted CiliumNetworkPolicy subset.
 
-    Unknown keys inside ``spec`` are collected as warnings on the returned
-    document; anything malformed in the accepted subset raises.
+    Unknown keys inside ``spec`` are warnings on the returned document
+    unless ``_check_keys`` raises; anything malformed in the subset raises.
     """
     data = _require_mapping(_load_yaml(text, "policy document"), "policy document")
     for key, expected, error in (

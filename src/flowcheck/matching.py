@@ -57,23 +57,23 @@ class MatchMode(Enum):
 class MatchVerdict:
     """Outcome of evaluating a transfer against a policy set.
 
-    failed_predicates is empty from evaluate.  For a denial, transfer_data
-    fills it with what explain returns: one (policy, first failed
-    predicate) entry per member of the policy set, in canonical order.
+    A verdict is allowed exactly when it names the permitting witness in
+    matched_policy.  failed_predicates is empty from evaluate.  For a
+    denial, transfer_data fills it with what explain returns: one
+    (policy, first failed predicate) entry per member of the policy set,
+    in canonical order.
     """
 
-    allowed: bool
     matched_policy: Optional[Policy] = None
     failed_predicates: tuple[tuple[Policy, str], ...] = ()
 
     def __post_init__(self):
-        if self.allowed:
-            if self.matched_policy is None:
-                raise ValueError("allowed verdict requires a matched policy")
-            if self.failed_predicates:
-                raise ValueError("allowed verdict must carry no failed predicates")
-        elif self.matched_policy is not None:
-            raise ValueError("denied verdict must not carry a matched policy")
+        if self.allowed and self.failed_predicates:
+            raise ValueError("allowed verdict must carry no failed predicates")
+
+    @property
+    def allowed(self) -> bool:
+        return self.matched_policy is not None
 
 
 # the key components, named as explain reports them, in the order checked
@@ -133,7 +133,7 @@ def _build_table(policies: PolicySet, mode: MatchMode) -> tuple[dict, list]:
     """The mode's lookup dict and rows, laid out as the module docstring says."""
     lookup: dict = {}
     rows = []
-    for policy in policies.ranked:
+    for policy in sorted(policies, key=canonical_policy_text):
         sender, receiver = (spec.normalized for spec in _oriented(policy))
         shapes = (_shape(sender, mode), _shape(receiver, mode))
         keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
@@ -172,8 +172,8 @@ def evaluate(
     """
     found = permitting(_policy_set(policies), sender_ep, receiver_ep, mode)
     if not found:
-        return MatchVerdict(allowed=False)
-    return MatchVerdict(allowed=True, matched_policy=min(found, key=canonical_policy_text))
+        return MatchVerdict()
+    return MatchVerdict(min(found, key=canonical_policy_text))
 
 
 def explain(

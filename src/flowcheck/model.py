@@ -196,8 +196,8 @@ class PolicySet(Set):
     the member and every witness name the same origin whatever the input
     order.  ``copies`` gives all of a member's copies in that order.
     ``tables`` holds the per-mode tables ``matching`` builds on a set's
-    first query in a mode (a lookup dict and one row per member), so
-    every state holding the set shares them.
+    first query in a mode (a lookup dict and one row per member, the rows
+    in canonical order), so every state holding the set shares them.
     """
 
     def __init__(self, policies: Iterable[Policy] = ()):
@@ -223,11 +223,6 @@ class PolicySet(Set):
     def copies(self, policy: Policy) -> tuple[Policy, ...]:
         """Every copy of a member, in canonical order; its first is the member."""
         return self._copies[policy]
-
-    @cached_property
-    def ranked(self) -> tuple[Policy, ...]:
-        """The members in canonical order."""
-        return tuple(sorted(self._copies, key=canonical_policy_text))
 
     def __contains__(self, policy) -> bool:
         return policy in self._copies
@@ -356,13 +351,7 @@ def canonical_policy_text(policy: Policy) -> str:
 
 def describe_endpoint(ep: Endpoint) -> str:
     """Compact human-readable endpoint rendering (present fields only)."""
-    parts = []
-    if ep.cidr is not None:
-        parts.append(f"cidr={ep.cidr}")
-    if ep.namespace is not None:
-        parts.append(f"namespace={ep.namespace.name}")
-    if ep.port is not None:
-        parts.append(f"port={ep.port}")
-    if ep.label is not None:
-        parts.append(f"label={ep.label}")
-    return "(" + ", ".join(parts) + ")"
+    fields = endpoint_to_dict(ep)
+    if "namespace" in fields:
+        fields["namespace"] = ep.namespace.name
+    return "(" + ", ".join(f"{key}={value}" for key, value in fields.items()) + ")"

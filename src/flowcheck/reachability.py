@@ -16,14 +16,11 @@ class ReachabilityMatrix:
     Covers every triple with sender != receiver and a sender that can
     actually send (not receive-only).  The entries of a matrix from
     ``compute_reachability`` iterate ordered by (sender id, receiver id,
-    canonical endpoint text), the order the CLI prints them in.
+    canonical endpoint text), the order the CLI prints them in.  The
+    entries are the matrix's only field; the mode is the caller's.
     """
 
     entries: Mapping[tuple[int, int, Endpoint], MatchVerdict]
-    mode: MatchMode
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", dict(self.entries))
 
 
 def compute_reachability(state: SystemState, mode: MatchMode) -> ReachabilityMatrix:
@@ -41,4 +38,4 @@ def compute_reachability(state: SystemState, mode: MatchMode) -> ReachabilityMat
                 entries[(sender.app_id, receiver.app_id, ep)] = evaluate(
                     state.policies, sender.send_endpoint, ep, mode
                 )
-    return ReachabilityMatrix(entries=entries, mode=mode)
+    return ReachabilityMatrix(entries=entries)

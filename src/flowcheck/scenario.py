@@ -62,9 +62,11 @@ def create_policy(state, first: Endpoint, second: Endpoint, direction: Direction
     equal policy is already deployed.
     """
     policy = Policy(pair=(first, second), direction=direction)
-    if policy in state.policies:
-        raise DuplicatePolicy(f"policy already exists: {canonical_policy_text(policy)}")
-    return replace(state, policies=state.policies.adding(policy)), policy
+    try:
+        policies = state.policies.adding(policy)
+    except ValueError:
+        raise DuplicatePolicy(f"policy already exists: {canonical_policy_text(policy)}") from None
+    return replace(state, policies=policies), policy
 
 
 def deploy_application(
@@ -121,7 +123,7 @@ def transfer_data(
     if not verdict.allowed:
         raise PolicyViolation(
             f"no policy permits {describe_endpoint(sender.send_endpoint)} -> {describe_endpoint(rep)}",
-            verdict=replace(verdict, failed_predicates=explain(state.policies, sender.send_endpoint, rep, mode)),
+            verdict=MatchVerdict(failed_predicates=explain(state.policies, sender.send_endpoint, rep, mode)),
         )
     receiver = state.by_id.get(rapp)
     if receiver is None:
@@ -197,12 +199,19 @@ class StepOutcome:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """What happened when a scenario ran; passed iff every outcome matched."""
+    """What happened when a scenario ran: one outcome per step run."""
 
-    steps_run: int
     outcomes: tuple[StepOutcome, ...]
-    passed: bool
     final_state: SystemState = field(default_factory=new_system, compare=False)
+
+    @property
+    def steps_run(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def passed(self) -> bool:
+        """Every outcome matched its expectation."""
+        return all(outcome.matched for outcome in self.outcomes)
 
     def to_dict(self) -> dict:
         return {
@@ -262,7 +271,6 @@ def run_scenario(
     """
     state = new_system() if initial_state is None else initial_state
     outcomes = []
-    passed = True
     for index, step in enumerate(steps):
         error = None
         detail = ""
@@ -284,8 +292,5 @@ def run_scenario(
             )
         )
         if not matched:
-            passed = False
             break
-    return ScenarioReport(
-        steps_run=len(outcomes), outcomes=tuple(outcomes), passed=passed, final_state=state
-    )
+    return ScenarioReport(outcomes=tuple(outcomes), final_state=state)

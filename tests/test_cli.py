@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from flowcheck.cli import main, parse_endpoint_spec
 from flowcheck import Cidr, Endpoint, Namespace
 from flowcheck.errors import FlowcheckError
-from flowcheck.ingest import _ACTIONS, _APP_KEYS, _ENDPOINT_KEYS
+from flowcheck.ingest import _ACTIONS, _APP_KEYS, _ENDPOINT_KEYS, parse_endpoint_fields
 
 from test_ingest import WORLD_POLICY
 
@@ -293,7 +293,20 @@ class TestEndpointSpec:
         ep = parse_endpoint_spec("cidr=0.0.0.0/0,label=X")
         assert ep == Endpoint(label="X")
 
-    @pytest.mark.parametrize("spec", ["", "port=eighty", "nonsense=1", "cidr=1.2.3.4"])
+    # "-" with id 0 is the unconstrained sentinel; any other id is a namespace
+    @pytest.mark.parametrize(
+        "spec, file_form, namespace",
+        [("-", "-", None), ("-/0", {"name": "-", "id": 0}, None),
+         ("-/5", {"name": "-", "id": 5}, Namespace("-", 5))],
+    )
+    def test_dash_namespace_parsed_like_the_file_form(self, spec, file_form, namespace):
+        ep = parse_endpoint_spec(f"namespace={spec},label=x")
+        assert ep.namespace == namespace
+        assert ep == parse_endpoint_fields({"namespace": file_form, "label": "x"}, "file")
+
+    @pytest.mark.parametrize(
+        "spec", ["", "port=eighty", "nonsense=1", "cidr=1.2.3.4", "namespace=-/abc,label=x"]
+    )
     def test_bad_specs(self, spec):
         with pytest.raises(FlowcheckError):
             parse_endpoint_spec(spec)
@@ -361,6 +374,7 @@ MALFORMED_INPUTS = {
     "scenario-not-utf8": (["check", "--scenario"], b"steps: []\n# \xff\xfe\n"),
     "explain-namespace-id-huge": (["explain", "label=x", "namespace=NS-UI/99999999999"], None),
     "explain-namespace-name-empty": (["explain", "label=x", "namespace=/3"], None),
+    "explain-namespace-dash-id-not-decimal": (["explain", "namespace=-/abc,label=x", "label=y"], None),
     "explain-port-superscript-digit": (["explain", "label=x", "port=\u00b2"], None),
     "policy-port-superscript-digit": (
         ["explain", "label=x", "label=y", "--policies"], POLICY_WITH_SUPERSCRIPT_PORT),

@@ -1,8 +1,15 @@
-"""Exact warnings for unknown policy keys."""
+"""Exact warnings for unknown policy keys, and the keys that fail closed."""
 
 from __future__ import annotations
 
-from flowcheck import parse_cilium_policy
+import copy
+import re
+
+import pytest
+import yaml
+
+from flowcheck import MalformedYaml, parse_cilium_policy
+from flowcheck.cli import main
 
 # one unknown key at each of the eight policy nodes, two at spec
 NOISY_POLICY = """\
@@ -46,4 +53,100 @@ def test_unknown_key_warnings_exact():
         "spec.ingress[0].toPorts[0]: unknown key 'rules'",
         "spec.ingress[0].toPorts[0].ports[0]: unknown key 'protocol'",
         "spec.egress[0]: unknown key 'toFQDNs'",
+    )
+
+
+PLAIN_POLICY = {
+    "apiVersion": "cilium.io/v2",
+    "kind": "CiliumNetworkPolicy",
+    "metadata": {"name": "Plain", "namespace": "NS-X"},
+    "spec": {
+        "endpointSelector": {"matchLabels": {"app": "X"}},
+        "ingress": [{
+            "fromCIDRSet": [{"cidr": "10.0.0.0/24"}],
+            "fromEndpoints": [{"matchLabels": {"app": "Y"}}],
+            "toPorts": [{"ports": [{"port": "80"}]}],
+        }],
+        "egress": [{"toCIDRSet": [{"cidr": "10.1.0.0/16"}], "toPorts": [{"ports": [{"port": "53"}]}]}],
+    },
+}
+
+SELECT_TIER = [{"key": "tier", "operator": "In", "values": ["a"]}]
+
+# (node, key, value): each narrows what the document allows, so ignoring
+# it with a warning would widen what is allowed
+WIDENING_KEYS = [
+    ("spec", "ingressDeny", [{"fromCIDRSet": [{"cidr": "10.0.0.0/28"}]}]),
+    ("spec", "egressDeny", [{"toCIDRSet": [{"cidr": "10.1.0.0/24"}]}]),
+    ("spec.endpointSelector", "matchExpressions", SELECT_TIER),
+    ("spec.ingress[0]", "fromRequires", [{"matchLabels": {"env": "prod"}}]),
+    ("spec.ingress[0].fromCIDRSet[0]", "except", ["10.0.0.0/28"]),
+    ("spec.ingress[0].fromEndpoints[0]", "matchExpressions", SELECT_TIER),
+    ("spec.ingress[0].toPorts[0]", "rules", {"http": [{"method": "GET"}]}),
+    ("spec.ingress[0].toPorts[0].ports[0]", "protocol", "UDP"),
+    ("spec.egress[0]", "toRequires", [{"matchLabels": {"env": "prod"}}]),
+    ("spec.egress[0].toPorts[0].ports[0]", "protocol", "SCTP"),
+]
+
+
+def _with_key(where: str, key: str, value) -> str:
+    doc = copy.deepcopy(PLAIN_POLICY)
+    node = doc
+    for name, index in re.findall(r"(\w+)(?:\[(\d+)\])?", where):
+        node = node[name] if not index else node[name][int(index)]
+    node[key] = value
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+@pytest.mark.parametrize(
+    "where, key, value", WIDENING_KEYS, ids=[f"{where}.{key}" for where, key, _ in WIDENING_KEYS]
+)
+def test_widening_keys_fail_closed(where, key, value, tmp_path, capsys):
+    text = _with_key(where, key, value)
+    with pytest.raises(MalformedYaml, match=re.escape(f"{where}: unsupported key {key!r}")):
+        parse_cilium_policy(text)
+    path = tmp_path / "policy.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["explain", "--policies", str(path), "--", "label=Y", "label=X"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {where}: unsupported key {key!r}")
+
+
+@pytest.mark.parametrize("value", ["TCP", "ANY", ""])
+def test_tcp_any_and_empty_protocols_still_warn(value):
+    where = "spec.ingress[0].toPorts[0].ports[0]"
+    doc = parse_cilium_policy(_with_key(where, "protocol", value))
+    assert doc.warnings == (f"{where}: unknown key 'protocol'",)
+
+
+# selectors that hold only matchExpressions read as "select everything"
+# when ignored, and a UDP port as one that TCP reaches
+ONLY_EXPRESSIONS_OVER_UDP = """\
+apiVersion: cilium.io/v2
+kind: CiliumNetworkPolicy
+metadata: {name: P, namespace: NS-UI}
+spec:
+  endpointSelector:
+    matchExpressions: [{key: app, operator: In, values: [WebUI]}]
+  ingress:
+    - fromEndpoints:
+        - matchExpressions: [{key: app, operator: In, values: [Client]}]
+      toPorts:
+        - ports:
+            - port: "443"
+              protocol: UDP
+"""
+
+
+def test_expression_only_selectors_are_not_read_as_select_all(tmp_path, capsys):
+    path = tmp_path / "policy.yaml"
+    path.write_text(ONLY_EXPRESSIONS_OVER_UDP, encoding="utf-8")
+    code = main(["explain", "--mode", "semantic", "--policies", str(path), "--",
+                 "namespace=NS-UI,label=Anything", "namespace=NS-UI,label=Other,port=443"])
+    captured = capsys.readouterr()
+    assert code == 2 and "ALLOWED" not in captured.out
+    assert captured.err == (
+        "error: spec.endpointSelector: unsupported key 'matchExpressions': "
+        "ignoring it would widen what is allowed\n"
     )

@@ -232,12 +232,15 @@ class TestEvaluate:
 
     def test_verdict_invariants_enforced(self):
         policy = Policy(pair=(WEBUI_EP, CLIENT_EP), direction=Direction.INGRESS)
-        with pytest.raises(ValueError):
-            MatchVerdict(allowed=True)
-        with pytest.raises(ValueError):
-            MatchVerdict(allowed=True, matched_policy=policy, failed_predicates=((policy, "x"),))
-        with pytest.raises(ValueError):
+        # allowed is read from the witness: a verdict cannot be allowed
+        # without one or denied with one
+        assert MatchVerdict(policy).allowed
+        assert not MatchVerdict().allowed
+        assert not MatchVerdict(failed_predicates=((policy, "x"),)).allowed
+        with pytest.raises(TypeError):
             MatchVerdict(allowed=False, matched_policy=policy)
+        with pytest.raises(ValueError):
+            MatchVerdict(matched_policy=policy, failed_predicates=((policy, "x"),))
 
 
 class TestExplain:

@@ -155,7 +155,10 @@ class TestPolicySet:
             assert [p.origin for p in policies.copies(self.B_FROM_A)] == [
                 PolicyOrigin("doc-a", 3), PolicyOrigin("doc-b", 1)
             ]
-            assert policies.ranked == tuple(sorted(policies, key=canonical_policy_text))
+            ranked = [(p, p.origin) for p in sorted(policies, key=canonical_policy_text)]
+            for mode in MatchMode:
+                evaluate(policies, self.EP_A, self.EP_B, mode)  # builds the mode's table
+                assert [(row[0], row[0].origin) for row in policies.tables[mode][1]] == ranked
 
     def test_set_protocol(self):
         a, b = self.copies_of(self.A_FROM_B, PolicyOrigin("d", 1), PolicyOrigin("d", 0))

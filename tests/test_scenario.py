@@ -25,6 +25,7 @@ from flowcheck import (
     ScenarioStep,
     SenderReceiveOnly,
     SenderUnknown,
+    canonical_policy_text,
     create_endpoint,
     create_policy,
     deploy_application,
@@ -93,6 +94,24 @@ class TestCreatePolicy:
         state, ep1, ep2, _ = client_webui_state()
         with pytest.raises(DuplicatePolicy):
             create_policy(state, ep2, ep1, Direction.INGRESS)
+
+    def test_a_write_hashes_the_policy_twice(self, monkeypatch):
+        # PolicySet.adding tests membership and inserts; a hash walks the
+        # policy's whole dataclass tree, so create_policy adds no third one
+        state, ep1, ep2, pol = client_webui_state()
+        hashed = []
+        policy_hash = Policy.__hash__
+
+        def counting_hash(policy):
+            hashed.append(policy)
+            return policy_hash(policy)
+
+        monkeypatch.setattr(Policy, "__hash__", counting_hash)
+        create_policy(state, ep2, ep1, Direction.EGRESS)
+        assert len(hashed) == 2
+        with pytest.raises(DuplicatePolicy) as exc:
+            create_policy(state, ep2, ep1, Direction.INGRESS)
+        assert str(exc.value) == f"policy already exists: {canonical_policy_text(pol)}"
 
     def test_same_pair_other_direction_ok(self):
         state, ep1, ep2, _ = client_webui_state()
