@@ -233,8 +233,9 @@ def _mappings(value, where: str):
         yield f"{where}[{i}]", _require_mapping(entry, f"{where}[{i}]")
 
 
-# policy keys that narrow what a rule allows: ignoring one with a value widens it
-_WIDENING = frozenset("matchExpressions except rules ingressDeny egressDeny fromRequires toRequires".split())
+# policy keys that can narrow what is allowed: ignoring one with a value may widen it
+_WIDENING = frozenset("""matchExpressions except rules ingressDeny egressDeny fromRequires toRequires
+    icmps serverNames authentication specs""".split())
 
 
 def _check_keys(node: Mapping, allowed, where: str, warnings: Optional[list] = None) -> None:
@@ -373,8 +374,9 @@ def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> EgressRule:
 def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
     """Parse the accepted CiliumNetworkPolicy subset.
 
-    Unknown keys inside ``spec`` are warnings on the returned document
-    unless ``_check_keys`` raises; anything malformed in the subset raises.
+    Unknown keys of the document and inside ``spec`` are warnings on the
+    returned document unless ``_check_keys`` raises; anything malformed in
+    the subset raises.
     """
     data = _require_mapping(_load_yaml(text, "policy document"), "policy document")
     for key, expected, error in (
@@ -382,12 +384,12 @@ def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
     ):
         if data.get(key) != expected:
             raise error(f"{key} must be {expected!r}, got {data.get(key)!r}")
+    warnings: list = []
+    _check_keys(data, {"apiVersion", "kind", "metadata", "spec"}, "policy document", warnings)
     metadata = _require_mapping(data.get("metadata"), "metadata")
     name = _require_str(metadata.get("name"), "metadata.name")
     namespace = _require_str(metadata.get("namespace"), "metadata.namespace")
     spec = _require_mapping(data.get("spec"), "spec")
-
-    warnings: list = []
     _check_keys(spec, {"endpointSelector", "ingress", "egress"}, "spec", warnings)
     selector = _parse_selector(spec.get("endpointSelector"), "spec.endpointSelector", warnings)
     ingress_rules = tuple(

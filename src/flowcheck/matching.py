@@ -27,10 +27,12 @@ dict and one row per member in canonical order:
 A lookup derives the concrete pair's keys under each shape pair the set
 holds, so every hit permits the flow.  Strict mode has the one shape pair
 ``(None, None)``, so its lookup is a single probe.  ``explain`` answers
-from the rows: a member the lookup returns permits the flow; one it
-returns for the reversed flow is only against its direction; any other
-differs in the key of some side, and the first such side in the pair's
-role order (receiver first for ingress) names the failed predicate.
+from the rows and one lookup, for the reversed flow: a member whose
+sender and receiver keys both equal the concrete endpoints' keys under
+its shapes permits the flow (the lookup's own test); of the others, one
+the reversed lookup returns is only against its direction, and any other
+is named by the first side in the pair's role order (receiver first for
+ingress) whose key differs, at its first differing component.
 """
 
 from __future__ import annotations
@@ -181,10 +183,10 @@ def explain(
 ) -> tuple[tuple[Policy, str], ...]:
     """Why a denied transfer fails: one (policy, first failed predicate)
     entry per member of the policy set, in the canonical order evaluate
-    picks witnesses by.  PolicySet.copies gives each member's origins."""
+    picks witnesses by.  PolicySet.copies gives each member's origins.
+    Its one lookup is for the reversed flow; the rows give the rest."""
     policies = _policy_set(policies)
     # ids: hashing a policy hashes its whole dataclass tree
-    forward = {id(policy) for policy in permitting(policies, sender_ep, receiver_ep, mode)}
     reverse = {id(policy) for policy in permitting(policies, receiver_ep, sender_ep, mode)}
     concrete = (sender_ep.normalized, receiver_ep.normalized)
     derived: tuple[dict, dict] = ({}, {})  # per side: shape -> the concrete key under it
@@ -192,22 +194,17 @@ def explain(
     _, rows = policies.tables[mode]  # built by permitting
     reasons = []
     for policy, shapes, keys, order in rows:
-        if id(policy) in forward:
-            predicate = None
-        elif id(policy) in reverse:
-            predicate = "direction-orientation"
-        else:
-            # not permitted, so some side's key differs
-            for side in order:
-                got = derived[side].get(shapes[side])
-                if got is None:
-                    got = derived[side][shapes[side]] = _key(shapes[side], concrete[side])
-                want = keys[side]
-                if got != want:
-                    i = 0
-                    while want[i] == got[i]:
-                        i += 1
-                    predicate = names[side][i]
-                    break
+        predicate = None  # both sides' keys equal: the member permits the flow
+        for side in order:
+            got = derived[side].get(shapes[side])
+            if got is None:
+                got = derived[side][shapes[side]] = _key(shapes[side], concrete[side])
+            want = keys[side]
+            if got != want:
+                i = 0
+                while want[i] == got[i]:
+                    i += 1
+                predicate = "direction-orientation" if id(policy) in reverse else names[side][i]
+                break
         reasons.append((policy, predicate))
     return tuple(reasons)

@@ -8,7 +8,7 @@ import re
 import pytest
 import yaml
 
-from flowcheck import MalformedYaml, parse_cilium_policy
+from flowcheck import MalformedYaml, expand_rules, parse_cilium_policy
 from flowcheck.cli import main
 
 # one unknown key at each of the eight policy nodes, two at spec
@@ -80,11 +80,14 @@ WIDENING_KEYS = [
     ("spec", "egressDeny", [{"toCIDRSet": [{"cidr": "10.1.0.0/24"}]}]),
     ("spec.endpointSelector", "matchExpressions", SELECT_TIER),
     ("spec.ingress[0]", "fromRequires", [{"matchLabels": {"env": "prod"}}]),
+    ("spec.ingress[0]", "icmps", [{"fields": [{"type": 8, "family": "IPv4"}]}]),
     ("spec.ingress[0].fromCIDRSet[0]", "except", ["10.0.0.0/28"]),
     ("spec.ingress[0].fromEndpoints[0]", "matchExpressions", SELECT_TIER),
     ("spec.ingress[0].toPorts[0]", "rules", {"http": [{"method": "GET"}]}),
+    ("spec.ingress[0].toPorts[0]", "serverNames", ["only.example.com"]),
     ("spec.ingress[0].toPorts[0].ports[0]", "protocol", "UDP"),
     ("spec.egress[0]", "toRequires", [{"matchLabels": {"env": "prod"}}]),
+    ("spec.egress[0]", "authentication", {"mode": "required"}),
     ("spec.egress[0].toPorts[0].ports[0]", "protocol", "SCTP"),
 ]
 
@@ -150,3 +153,66 @@ def test_expression_only_selectors_are_not_read_as_select_all(tmp_path, capsys):
         "error: spec.endpointSelector: unsupported key 'matchExpressions': "
         "ignoring it would widen what is allowed\n"
     )
+
+
+# an ingress rule admitting 10.28.1.2/32 to WebUI on 443, checked with
+# explain in semantic mode
+WEBUI_POLICY = """\
+apiVersion: cilium.io/v2
+kind: CiliumNetworkPolicy
+metadata: {name: P, namespace: NS-UI}
+spec:
+  endpointSelector:
+    matchLabels: {app: WebUI}
+  ingress:
+    - fromCIDRSet: [{cidr: 10.28.1.2/32}]
+      toPorts: [{ports: [{port: "443"}]}]
+"""
+
+
+def _explain_webui(text, tmp_path, capsys):
+    path = tmp_path / "policy.yaml"
+    path.write_text(text, encoding="utf-8")
+    code = main(["explain", "--mode", "semantic", "--policies", str(path), "--",
+                 "cidr=10.28.1.2/32", "namespace=NS-UI,label=WebUI,port=443"])
+    return code, capsys.readouterr(), path
+
+
+def test_an_icmp_only_rule_is_not_read_as_every_port(tmp_path, capsys):
+    # WIDENING_KEYS puts icmps beside toPorts; here it is the rule's only
+    # narrowing, so ignoring it would allow every port
+    text = WEBUI_POLICY.replace('      toPorts: [{ports: [{port: "443"}]}]\n', "")
+    text += "      icmps: [{fields: [{type: 8, family: IPv4}]}]\n"
+    code, captured, _ = _explain_webui(text, tmp_path, capsys)
+    assert code == 2 and "ALLOWED" not in captured.out
+    assert captured.err == (
+        "error: spec.ingress[0]: unsupported key 'icmps': ignoring it would widen what is allowed\n"
+    )
+
+
+def test_a_top_level_specs_list_fails_closed(tmp_path, capsys):
+    # a second rule list, here one that denies the flow the spec allows
+    text = WEBUI_POLICY + """\
+specs:
+  - endpointSelector: {matchLabels: {app: WebUI}}
+    ingressDeny: [{fromCIDRSet: [{cidr: 10.28.1.2/32}]}]
+"""
+    code, captured, _ = _explain_webui(text, tmp_path, capsys)
+    assert code == 2 and "ALLOWED" not in captured.out
+    assert captured.err == (
+        "error: policy document: unsupported key 'specs': ignoring it would widen what is allowed\n"
+    )
+
+
+def test_unknown_top_level_keys_warn_first(tmp_path, capsys):
+    status = "status: {nodes: {node-1: {enforcing: true}}}\n"
+    doc = parse_cilium_policy(WEBUI_POLICY + status)
+    assert doc.warnings == ("policy document: unknown key 'status'",)
+    assert expand_rules(doc) == expand_rules(parse_cilium_policy(WEBUI_POLICY))
+    assert parse_cilium_policy(NOISY_POLICY + status).warnings == (
+        "policy document: unknown key 'status'",
+        *parse_cilium_policy(NOISY_POLICY).warnings,
+    )
+    code, captured, path = _explain_webui(WEBUI_POLICY + status, tmp_path, capsys)
+    assert code == 0 and captured.out.endswith("ALLOWED\n")
+    assert captured.err == f"warning: {path}: policy document: unknown key 'status'\n"

@@ -281,9 +281,10 @@ class TestExplain:
 
     def test_explaining_reuses_the_table_build(self, monkeypatch):
         # one set of 60 policies, 20 denied flows decided and explained in
-        # each mode: one build per mode, and only the builds derive shapes
-        builds, shapes = [], []
-        build_table, shape = matching._build_table, matching._shape
+        # each mode: one build per mode, only the builds derive shapes, and
+        # one lookup per decision plus one (the reversed flow) per explanation
+        builds, shapes, lookups = [], [], []
+        build_table, shape, permitting = matching._build_table, matching._shape, matching.permitting
 
         def counting_build(policies, mode):
             table = build_table(policies, mode)
@@ -292,6 +293,7 @@ class TestExplain:
 
         monkeypatch.setattr(matching, "_build_table", counting_build)
         monkeypatch.setattr(matching, "_shape", lambda *args: shapes.append(args) or shape(*args))
+        monkeypatch.setattr(matching, "permitting", lambda *args: lookups.append(args) or permitting(*args))
         members = [
             Policy(pair=(Endpoint(namespace=Namespace(f"NS-{i}", 1), port=443), Endpoint(cidr=Cidr(10, 0, i, 0, 24))),
                    direction=i % 2)
@@ -309,6 +311,7 @@ class TestExplain:
                 assert len(explain(policies, sender, receiver, mode)) == 60
         assert builds == [(STRICT, 2 * 60), (SEMANTIC, 2 * 2 * 60)]
         assert len(shapes) == 2 * 2 * 60
+        assert len(lookups) == 2 * 20 * 2
         assert dict(explain(policies, *flows[1], SEMANTIC))[members[1]] == "direction-orientation"
 
 

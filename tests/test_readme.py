@@ -1,6 +1,7 @@
 """The README's examples run as written: the library quick start, and every
 ``flowcheck`` command line, in process and from the repository root; every
-``fc.<name>`` it mentions is a real attribute of the package."""
+``fc.<name>`` it mentions is a real attribute of the package; and the policy
+keys it lists as rejected are the ones ingest rejects."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import flowcheck
+from flowcheck import ingest
 from flowcheck.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +45,12 @@ def test_every_named_api_exists():
     names = set(re.findall(r"\bfc\.(\w+)", README))
     assert {"evaluate", "explain", "PolicySet"} <= names
     assert [name for name in sorted(names) if not hasattr(flowcheck, name)] == []
+
+
+def test_rejected_policy_keys_are_the_widening_table():
+    # the "Policy documents" paragraph names them as one backticked list
+    (listed,) = re.findall(r"rejected when non-empty[^:]*:((?:\s*`\w+`,?)+)", README)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(ingest._WIDENING)
 
 
 def test_every_subcommand_has_an_example():

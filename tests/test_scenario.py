@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from flowcheck import matching
 from flowcheck import (
     Cidr,
     Direction,
@@ -168,6 +169,17 @@ class TestSendData:
         state, _, ep2, _ = client_webui_state()
         with pytest.raises(SenderUnknown):
             send_data(state, 9, 2, ep2)
+
+    def test_a_denial_makes_two_lookups(self, monkeypatch):
+        # evaluate looks the flow up; explain reads the forward answer from
+        # the table rows and looks up only the reversed flow
+        state, ep1, *_ = client_webui_state()
+        lookups = []
+        permitting = matching.permitting
+        monkeypatch.setattr(matching, "permitting", lambda *args: lookups.append(args) or permitting(*args))
+        with pytest.raises(PolicyViolation):
+            send_data(state, 1, 2, ep1)
+        assert len(lookups) == 2
 
 
 class TestTransferData:
