@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import FlowcheckError
@@ -48,20 +49,33 @@ def _read_text(path: str) -> str:
         raise FlowcheckError(f"cannot read {path}: {exc}") from exc
 
 
+@contextmanager
+def _naming(path):
+    """An input error raised in the block names the file, as warnings do."""
+    try:
+        yield
+    except FlowcheckError as exc:
+        raise FlowcheckError(f"{path}: {exc}") from exc
+
+
 def _load_policies(paths):
     policies = []
     for path in paths or ():
-        doc = parse_cilium_policy(_read_text(path))
-        for warning in doc.warnings:
-            print(f"warning: {path}: {warning}", file=sys.stderr)
-        policies.extend(expand_rules(doc))
+        text = _read_text(path)
+        with _naming(path):
+            doc = parse_cilium_policy(text)
+            for warning in doc.warnings:
+                print(f"warning: {path}: {warning}", file=sys.stderr)
+            policies.extend(expand_rules(doc))
     return policies
 
 
 def _load_topology(path):
     if path is None:
         return None
-    return parse_topology(_read_text(path))
+    text = _read_text(path)
+    with _naming(path):
+        return parse_topology(text)
 
 
 def _origin_text(policy) -> str:
@@ -123,7 +137,9 @@ def cmd_check(args) -> int:
     policies = _load_policies(args.policies)
     topology = _load_topology(args.topology)
     symbols = topology[0] if topology is not None else None
-    script = parse_scenario(_read_text(args.scenario), symbols=symbols)
+    text = _read_text(args.scenario)
+    with _naming(args.scenario):
+        script = parse_scenario(text, symbols=symbols)
     mode = MatchMode(args.mode) if args.mode else (script.mode or MatchMode.STRICT)
     if mode is MatchMode.SEMANTIC:
         _ensure_host_cidrs(script.concrete_endpoints(), "scenario application/target endpoints")

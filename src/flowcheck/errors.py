@@ -55,13 +55,31 @@ class EndpointUnknown(ContractViolation):
 
 
 class PolicyViolation(ContractViolation):
-    """No deployed policy permits the attempted transfer."""
+    """No deployed policy permits the attempted transfer.
+
+    It holds the policy set, the two endpoints and the mode it was decided
+    on.  The set is immutable, so the explaining verdict is fixed at the
+    denial; ``verdict`` works it out on first read and keeps it.
+    """
 
     operation = "TransferData"
 
-    def __init__(self, message: str, verdict=None):
+    def __init__(self, message: str, policies, sender, receiver, mode):
         super().__init__(message)
-        self.verdict = verdict
+        self.policies, self.sender, self.receiver, self.mode = policies, sender, receiver, mode
+        self._verdict = None
+
+    @property
+    def verdict(self):
+        """A denied MatchVerdict whose failed_predicates are what
+        matching.explain gives for the flow."""
+        if self._verdict is None:
+            from .matching import MatchVerdict, explain  # matching imports this module
+
+            self._verdict = MatchVerdict(
+                failed_predicates=explain(self.policies, self.sender, self.receiver, self.mode)
+            )
+        return self._verdict
 
 
 class ListenEndpointViolation(ContractViolation):

@@ -13,7 +13,9 @@ says, per policy, why a denial failed.
 Each mode's rule is one key function, ``_key(shape, fields)``, over an
 endpoint's ``normalized`` fields: a spec matches a concrete endpoint iff
 their keys under the spec's shape are equal, and ``explain`` names the
-first key component that differs.
+first key component that differs.  Keys are plain values (ints, strings
+and tuples of them), so tables hash and compare them natively; a strict
+key is the normalized fields themselves.
 
 Both answer from a ``PolicySet``; any other iterable is made into one
 for that call only.  Its members are keyed on their oriented pair
@@ -60,10 +62,10 @@ class MatchVerdict:
     """Outcome of evaluating a transfer against a policy set.
 
     A verdict is allowed exactly when it names the permitting witness in
-    matched_policy.  failed_predicates is empty from evaluate.  For a
-    denial, transfer_data fills it with what explain returns: one
-    (policy, first failed predicate) entry per member of the policy set,
-    in canonical order.
+    matched_policy.  failed_predicates is empty from evaluate.  In the
+    verdict a PolicyViolation works out when read, it holds what explain
+    returns: one (policy, first failed predicate) entry per member of the
+    policy set, in canonical order.
     """
 
     matched_policy: Optional[Policy] = None
@@ -92,7 +94,7 @@ def _shape(fields, mode: MatchMode) -> Optional[tuple]:
     if mode is MatchMode.STRICT:
         return None
     cidr, namespace, port, label = fields
-    return (None if cidr is None else cidr.sig_bits, namespace is not None, port is not None, label is not None)
+    return (None if cidr is None else cidr[1], namespace is not None, port is not None, label is not None)
 
 
 def _key(shape: Optional[tuple], fields) -> tuple:
@@ -105,11 +107,11 @@ def _key(shape: Optional[tuple], fields) -> tuple:
     cidr, namespace, port, label = fields
     # a concrete address wider than the block can never be contained
     top = None
-    if prefix is not None and cidr is not None and cidr.sig_bits >= prefix:
-        top = cidr.as_int() >> (32 - prefix)
+    if prefix is not None and cidr is not None and cidr[1] >= prefix:
+        top = cidr[0] >> (32 - prefix)
     return (
         top,
-        namespace.name if has_namespace and namespace is not None else None,
+        namespace[0] if has_namespace and namespace is not None else None,
         port if has_port else None,
         label if has_label else None,
     )

@@ -10,7 +10,7 @@ Scenario scripts conventionally encode "unconstrained" endpoint fields
 with sentinel values (CIDR 0.0.0.0/0, namespace "-" with id 0, port 0,
 empty label).  The model stores absence explicitly; ``normalize_fields``
 maps the sentinels to absent on the way in, and ``Endpoint.normalized``
-holds an endpoint's fields so mapped.
+holds an endpoint's fields so mapped, as plain values.
 """
 
 from __future__ import annotations
@@ -121,9 +121,17 @@ class Endpoint:
 
     @cached_property
     def normalized(self) -> tuple:
-        """(cidr, namespace, port, label) with sentinels mapped to absent,
-        computed on first use."""
-        return normalize_fields(self.cidr, self.namespace, self.port, self.label)
+        """The fields with sentinels mapped to absent, as plain values:
+        ((address as int, prefix length) | None, (name, id) | None, port,
+        label), equal exactly when the fields are.  Computed on first use,
+        so every table row holding the endpoint shares one tuple."""
+        cidr, namespace, port, label = normalize_fields(self.cidr, self.namespace, self.port, self.label)
+        return (
+            None if cidr is None else (cidr.as_int(), cidr.sig_bits),
+            None if namespace is None else (namespace.name, namespace.id),
+            port,
+            label,
+        )
 
 
 SENTINEL_CIDR = Cidr(0, 0, 0, 0, 0)

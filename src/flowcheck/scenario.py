@@ -10,6 +10,7 @@ unexpected one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     SenderReceiveOnly,
     SenderUnknown,
 )
-from .matching import MatchMode, MatchVerdict, evaluate, explain
+from .matching import MatchMode, evaluate, explain
 from .model import (
     Application,
     Direction,
@@ -114,7 +115,8 @@ def transfer_data(
     On allow, the message is appended to the receiver's log (length grows
     by exactly one) and (state', verdict) is returned.  On any failed
     precondition the state is left unchanged and a ContractViolation is
-    raised; policy denials carry the explaining verdict on the exception.
+    raised; a policy denial carries the policy set, endpoints and mode it
+    was decided on, and explains itself when its verdict is read.
     """
     if rep not in state.endpoints:
         raise EndpointUnknown(f"endpoint {describe_endpoint(rep)} is not registered")
@@ -123,7 +125,7 @@ def transfer_data(
     if not verdict.allowed:
         raise PolicyViolation(
             f"no policy permits {describe_endpoint(sender.send_endpoint)} -> {describe_endpoint(rep)}",
-            verdict=MatchVerdict(failed_predicates=explain(state.policies, sender.send_endpoint, rep, mode)),
+            state.policies, sender.send_endpoint, rep, mode,
         )
     receiver = state.by_id.get(rapp)
     if receiver is None:
@@ -179,12 +181,26 @@ class ScenarioStep:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """One step run.  Its detail is its message and, for a policy denial,
+    every member's failed predicate, worked out on first read from
+    ``denied``: the policy set, endpoints and mode of the denial."""
+
     index: int
     action: str
     expected: str
     actual: str
     matched: bool
-    detail: str = ""
+    message: str = ""
+    denied: Optional[tuple] = field(default=None, repr=False)
+
+    @cached_property
+    def detail(self) -> str:
+        if self.denied is None:
+            return self.message
+        reasons = "; ".join(
+            f"{canonical_policy_text(policy)} failed {predicate}" for policy, predicate in explain(*self.denied)
+        )
+        return f"{self.message} [{reasons}]" if reasons else self.message
 
     def to_dict(self) -> dict:
         return {
@@ -219,17 +235,6 @@ class ScenarioReport:
             "passed": self.passed,
             "outcomes": [outcome.to_dict() for outcome in self.outcomes],
         }
-
-
-def _denial_detail(error: ContractViolation) -> str:
-    verdict = getattr(error, "verdict", None)
-    if not isinstance(verdict, MatchVerdict):
-        return str(error)
-    reasons = "; ".join(
-        f"{canonical_policy_text(policy)} failed {predicate}"
-        for policy, predicate in verdict.failed_predicates
-    )
-    return str(error) if not reasons else f"{error} [{reasons}]"
 
 
 def _apply_step(state, step: ScenarioStep, mode: MatchMode, check_listen: bool):
@@ -272,13 +277,13 @@ def run_scenario(
     state = new_system() if initial_state is None else initial_state
     outcomes = []
     for index, step in enumerate(steps):
-        error = None
-        detail = ""
+        error = denied = None
         try:
-            state, detail = _apply_step(state, step, mode, check_listen)
+            state, message = _apply_step(state, step, mode, check_listen)
         except ContractViolation as exc:
-            error = exc
-            detail = _denial_detail(exc)
+            error, message = exc, str(exc)
+            if isinstance(exc, PolicyViolation):
+                denied = (exc.policies, exc.sender, exc.receiver, exc.mode)
         actual = "ok" if error is None else f"violation:{error.operation}/{error.kind}"
         matched = step.expected.matches(error)
         outcomes.append(
@@ -288,7 +293,8 @@ def run_scenario(
                 expected=str(step.expected),
                 actual=actual,
                 matched=matched,
-                detail=detail,
+                message=message,
+                denied=denied,
             )
         )
         if not matched:

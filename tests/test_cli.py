@@ -418,6 +418,39 @@ def test_malformed_input_is_config_error(args, content, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# one bad file among good ones, in the BAD slot: its error line names it
+NAMED_INPUT_ERRORS = {
+    "policies": (
+        ["explain", "--policies", UI_POLICY, "BAD", COMMAND_POLICY, "--", "label=x", "label=y"],
+        "apiVersion: cilium.io/v2\nkind: CiliumNetworkPolicy\nmetadata: {name: P}\nspec: {}\n",
+        "metadata.namespace must be a non-empty string, got None",
+    ),
+    "topology": (
+        ["reachability", "--policies", UI_POLICY, COMMAND_POLICY, "--topology", "BAD"],
+        "endpoints:\n  a: {label: [x\n",
+        "topology document: while parsing a flow sequence",
+    ),
+    "scenario": (
+        ["check", "--policies", UI_POLICY, "--topology", TOPOLOGY, "--scenario", "BAD"],
+        "steps:\n  - send_data: {from: 1, to: 2, endpoint: webui_https, expect: allow, via: x}\n",
+        "steps[0]: unknown keys ['via']",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "args, content, message", list(NAMED_INPUT_ERRORS.values()), ids=list(NAMED_INPUT_ERRORS)
+)
+def test_an_input_error_names_its_file(args, content, message, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(content, encoding="utf-8")
+    assert main([str(path) if arg == "BAD" else arg for arg in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {message}")
+    assert captured.err.count("error:") == 1
+
+
 # Hostile documents built from the schema's own key names: values include
 # negative, huge and bool ints, "", lists and nested maps; keys mix types.
 _names = st.sampled_from(["a", "b"])

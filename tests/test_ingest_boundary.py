@@ -113,7 +113,7 @@ def test_widening_keys_fail_closed(where, key, value, tmp_path, capsys):
     assert main(["explain", "--policies", str(path), "--", "label=Y", "label=X"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: {where}: unsupported key {key!r}")
+    assert captured.err.startswith(f"error: {path}: {where}: unsupported key {key!r}")
 
 
 @pytest.mark.parametrize("value", ["TCP", "ANY", ""])
@@ -150,7 +150,7 @@ def test_expression_only_selectors_are_not_read_as_select_all(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and "ALLOWED" not in captured.out
     assert captured.err == (
-        "error: spec.endpointSelector: unsupported key 'matchExpressions': "
+        f"error: {path}: spec.endpointSelector: unsupported key 'matchExpressions': "
         "ignoring it would widen what is allowed\n"
     )
 
@@ -183,10 +183,10 @@ def test_an_icmp_only_rule_is_not_read_as_every_port(tmp_path, capsys):
     # narrowing, so ignoring it would allow every port
     text = WEBUI_POLICY.replace('      toPorts: [{ports: [{port: "443"}]}]\n', "")
     text += "      icmps: [{fields: [{type: 8, family: IPv4}]}]\n"
-    code, captured, _ = _explain_webui(text, tmp_path, capsys)
+    code, captured, path = _explain_webui(text, tmp_path, capsys)
     assert code == 2 and "ALLOWED" not in captured.out
     assert captured.err == (
-        "error: spec.ingress[0]: unsupported key 'icmps': ignoring it would widen what is allowed\n"
+        f"error: {path}: spec.ingress[0]: unsupported key 'icmps': ignoring it would widen what is allowed\n"
     )
 
 
@@ -197,10 +197,10 @@ specs:
   - endpointSelector: {matchLabels: {app: WebUI}}
     ingressDeny: [{fromCIDRSet: [{cidr: 10.28.1.2/32}]}]
 """
-    code, captured, _ = _explain_webui(text, tmp_path, capsys)
+    code, captured, path = _explain_webui(text, tmp_path, capsys)
     assert code == 2 and "ALLOWED" not in captured.out
     assert captured.err == (
-        "error: policy document: unsupported key 'specs': ignoring it would widen what is allowed\n"
+        f"error: {path}: policy document: unsupported key 'specs': ignoring it would widen what is allowed\n"
     )
 
 

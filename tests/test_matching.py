@@ -111,6 +111,12 @@ class TestEndpointMatches:
         b = Endpoint(namespace=Namespace("NS-UI", 2))
         assert not allows(a, b, STRICT)
 
+    def test_strict_prefix_length_matters(self):
+        a = Endpoint(cidr=Cidr(10, 28, 1, 0, 24))
+        b = Endpoint(cidr=Cidr(10, 28, 1, 0, 30))
+        assert not allows(a, b, STRICT)
+        assert not allows(b, a, STRICT)
+
     def test_semantic_cidr_containment(self):
         spec = Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
         assert allows(spec, Endpoint(cidr=Cidr(10, 28, 1, 1, 32)), SEMANTIC)

@@ -5,11 +5,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from flowcheck import (
+    Application,
     Cidr,
     ContractViolation,
     Direction,
@@ -17,21 +19,27 @@ from flowcheck import (
     DuplicateEndpoint,
     DuplicatePolicy,
     Endpoint,
+    Expectation,
     MatchMode,
     Namespace,
     Policy,
     PolicyOrigin,
     PolicySet,
+    PolicyViolation,
+    ScenarioStep,
+    SystemState,
     canonical_endpoint_text,
     canonical_policy_text,
     create_endpoint,
     create_policy,
     deploy_application,
+    describe_endpoint,
     evaluate,
     expand_rules,
     explain,
     new_system,
     parse_cilium_policy,
+    run_scenario,
     send_data,
 )
 from flowcheck.matching import permitting
@@ -228,6 +236,38 @@ class TestMatchProperties:
         for mode in MatchMode:
             for policy, predicate in explain(policies, sender, receiver, mode):
                 assert predicate == first_failure(policy, sender, receiver, mode)
+
+    @given(wide_endpoint_st, wide_endpoint_st, mode_st, st.data())
+    def test_a_denial_is_explained_on_the_set_it_was_decided_on(self, sender, receiver, mode, data):
+        drawn = data.draw(cut_flow_policies(sender, receiver))
+        state = SystemState(
+            applications={Application(1, sender), Application(2, receiver)}, policies=drawn, endpoints={receiver}
+        )
+        assume(not evaluate(state.policies, sender, receiver, mode).allowed)
+        # the oracle's explanation of the set at the denial
+        members = [group[0] for group in ranked_copies(drawn)]
+        reasons = [(policy, first_failure(policy, sender, receiver, mode)) for policy in members]
+        # deny, write the policy that permits the flow, send again; the
+        # denial is read only afterwards
+        with pytest.raises(PolicyViolation) as denied:
+            send_data(state, 1, 2, receiver, mode)
+        later, _ = create_policy(state, receiver, sender, Direction.INGRESS)
+        assert send_data(later, 1, 2, receiver, mode)[1].allowed
+        send = ScenarioStep("send_data", {"from": 1, "to": 2, "endpoint": receiver})
+        steps = [
+            replace(send, expected=Expectation(violation_of="TransferData")),
+            ScenarioStep("create_policy", {"first": receiver, "second": sender, "direction": Direction.INGRESS}),
+            send,
+        ]
+        report = run_scenario(steps, mode, initial_state=state)
+        assert report.passed
+        assert [(id(p), predicate) for p, predicate in denied.value.verdict.failed_predicates] == [
+            (id(p), predicate) for p, predicate in reasons
+        ]
+        detail = f"no policy permits {describe_endpoint(sender)} -> {describe_endpoint(receiver)}"
+        if reasons:
+            detail += " [" + "; ".join(f"{canonical_rank(p)[0]} failed {predicate}" for p, predicate in reasons) + "]"
+        assert report.outcomes[0].detail == detail
 
     @given(st.lists(policy_st, max_size=6), endpoint_st, endpoint_st, mode_st)
     def test_verdict_invariants(self, policies, sender, receiver, mode):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from flowcheck import matching
+from flowcheck import matching, scenario
 from flowcheck import (
     Cidr,
     Direction,
@@ -30,6 +30,7 @@ from flowcheck import (
     create_endpoint,
     create_policy,
     deploy_application,
+    explain,
     new_system,
     run_scenario,
     send_data,
@@ -171,14 +172,19 @@ class TestSendData:
             send_data(state, 9, 2, ep2)
 
     def test_a_denial_makes_two_lookups(self, monkeypatch):
-        # evaluate looks the flow up; explain reads the forward answer from
-        # the table rows and looks up only the reversed flow
+        # evaluate looks the flow up; the denial is explained only when its
+        # verdict is read, and explain reads the forward answer from the
+        # table rows and looks up only the reversed flow
         state, ep1, *_ = client_webui_state()
         lookups = []
         permitting = matching.permitting
         monkeypatch.setattr(matching, "permitting", lambda *args: lookups.append(args) or permitting(*args))
-        with pytest.raises(PolicyViolation):
+        with pytest.raises(PolicyViolation) as denied:
             send_data(state, 1, 2, ep1)
+        assert len(lookups) == 1
+        denied.value.verdict
+        assert len(lookups) == 2
+        denied.value.verdict
         assert len(lookups) == 2
 
 
@@ -318,3 +324,81 @@ class TestRunScenario:
         assert doc["passed"] is True
         assert doc["steps_run"] == 6
         assert [o["action"] for o in doc["outcomes"]][:2] == ["create_endpoint", "create_endpoint"]
+
+
+# client -> webui is denied until the second policy is written; the first
+# admits another client block
+CLIENT = Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
+OTHER_CLIENT = Endpoint(cidr=Cidr(10, 28, 1, 8, 30))
+WEBUI = Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI")
+DENIED = Expectation(violation_of="TransferData")
+
+
+def denied_sends(count):
+    return [
+        ScenarioStep("create_endpoint", {"cidr": CLIENT.cidr}),
+        ScenarioStep("create_endpoint", {"namespace": WEBUI.namespace, "port": 443, "label": "WebUI"}),
+        ScenarioStep("create_policy", {"first": WEBUI, "second": OTHER_CLIENT, "direction": Direction.INGRESS}),
+        ScenarioStep("deploy_application", {"id": 1, "send": CLIENT}),
+        ScenarioStep("deploy_application", {"id": 2, "send": WEBUI, "listen": (WEBUI,)}),
+        *[ScenarioStep("send_data", {"from": 1, "to": 2, "endpoint": WEBUI}, DENIED)] * count,
+    ]
+
+
+def denied_then_permitted():
+    return [
+        *denied_sends(1),
+        ScenarioStep("create_policy", {"first": WEBUI, "second": CLIENT, "direction": Direction.INGRESS}),
+        ScenarioStep("send_data", {"from": 1, "to": 2, "endpoint": WEBUI}),
+    ]
+
+
+def counted(monkeypatch, name, *modules):
+    """The argument tuples of every call to matching.<name>, however the
+    module holding the name calls it."""
+    calls = []
+    original = getattr(matching, name)
+    for module in (matching, *modules):
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+class TestDeferredDenials:
+    def test_running_a_script_explains_no_denial(self, monkeypatch):
+        explains = counted(monkeypatch, "explain", scenario)
+        lookups = counted(monkeypatch, "permitting")
+        report = run_scenario(denied_sends(3))
+        assert report.passed and report.steps_run == 8
+        assert explains == []
+        assert len(lookups) == 3  # one per denied send
+
+    def test_reading_the_details_explains_each_denial_once(self, monkeypatch):
+        report = run_scenario(denied_sends(3))
+        explains = counted(monkeypatch, "explain", scenario)
+        doc = report.to_dict()
+        assert len(explains) == 3
+        assert report.to_dict() == doc
+        assert len(explains) == 3
+
+    def test_a_denial_is_explained_on_the_set_it_was_decided_on(self):
+        report = run_scenario(denied_then_permitted())
+        assert report.passed and len(report.final_state.policies) == 2
+        # the text the detail had when it was built at the denial
+        assert report.outcomes[5].detail == (
+            "no policy permits (cidr=10.28.1.2/30) -> (namespace=NS-UI, port=443, label=WebUI) "
+            '[{"direction":0,"first":{"label":"WebUI","namespace":{"id":1,"name":"NS-UI"},"port":443},'
+            '"second":{"cidr":"10.28.1.8/30"}} failed sender.cidr]'
+        )
+        assert report.outcomes[7].detail.startswith("allowed by ")
+
+    def test_a_violation_explains_the_set_it_was_decided_on(self):
+        state = run_scenario(denied_sends(0)).final_state
+        with pytest.raises(PolicyViolation) as denied:
+            send_data(state, 1, 2, WEBUI)
+        later, _ = create_policy(state, WEBUI, CLIENT, Direction.INGRESS)
+        assert send_data(later, 1, 2, WEBUI)[1].allowed
+        verdict = denied.value.verdict
+        assert not verdict.allowed
+        assert verdict.failed_predicates == explain(state.policies, CLIENT, WEBUI, MatchMode.STRICT)
+        assert [predicate for _, predicate in verdict.failed_predicates] == ["sender.cidr"]
+        assert denied.value.verdict is verdict
