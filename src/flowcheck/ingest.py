@@ -194,6 +194,14 @@ def _load_yaml(text: str, what: str):
     try:
         return yaml.load(text, Loader=_StrictLoader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # PyYAML names a str input "<unicode string>"; name the document
+        # kind instead (the caller names the file)
+        if isinstance(exc, yaml.reader.ReaderError):
+            exc.name = what
+        for attr in ("context_mark", "problem_mark"):
+            mark = getattr(exc, attr, None)
+            if mark is not None:
+                setattr(exc, attr, yaml.Mark(what, mark.index, mark.line, mark.column, mark.buffer, mark.pointer))
         raise MalformedYaml(f"{what}: {exc}") from exc
 
 

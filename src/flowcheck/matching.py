@@ -26,6 +26,11 @@ dict and one row per member in canonical order:
     ({(sender shape, receiver shape): {(sender key, receiver key): [policies]}},
      [(policy, (sender shape, receiver shape), (sender key, receiver key), role order)])
 
+A policy write does not build a table: ``PolicySet.adding`` hands each
+table to the set it derives and calls its ``add``, which appends the new
+member to its lookup bucket and inserts its row by canonical text, so a
+write costs one row and a binary search, whatever the set's size.
+
 A lookup derives the concrete pair's keys under each shape pair the set
 holds, so every hit permits the flow.  Strict mode has the one shape pair
 ``(None, None)``, so its lookup is a single probe.  ``explain`` answers
@@ -39,6 +44,7 @@ ingress) whose key differs, at its first differing component.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -133,17 +139,36 @@ _FAILED = {
 _ROLE_ORDER = {Direction.INGRESS: (1, 0), Direction.EGRESS: (0, 1)}
 
 
-def _build_table(policies: PolicySet, mode: MatchMode) -> tuple[dict, list]:
-    """The mode's lookup dict and rows, laid out as the module docstring says."""
-    lookup: dict = {}
-    rows = []
-    for policy in sorted(policies, key=canonical_policy_text):
+def _row_text(row) -> str:
+    return row[0].canonical_text
+
+
+class _Table(tuple):
+    """One mode's ``(lookup, rows)``, laid out as the module docstring
+    says, that takes one more member at a time."""
+
+    def __new__(cls, mode: MatchMode):
+        table = super().__new__(cls, ({}, []))
+        table.mode = mode
+        return table
+
+    def add(self, policy: Policy) -> None:
+        """Add a policy no row holds yet (members' texts are distinct)."""
+        lookup, rows = self
         sender, receiver = (spec.normalized for spec in _oriented(policy))
-        shapes = (_shape(sender, mode), _shape(receiver, mode))
+        shapes = (_shape(sender, self.mode), _shape(receiver, self.mode))
         keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
         lookup.setdefault(shapes, {}).setdefault(keys, []).append(policy)
-        rows.append((policy, shapes, keys, _ROLE_ORDER[policy.direction]))
-    return lookup, rows
+        insort(rows, (policy, shapes, keys, _ROLE_ORDER[policy.direction]), key=_row_text)
+
+
+def _build_table(policies: PolicySet, mode: MatchMode) -> _Table:
+    """The mode's table of every member; in canonical order, each row
+    goes at the end."""
+    table = _Table(mode)
+    for policy in sorted(policies, key=canonical_policy_text):
+        table.add(policy)
+    return table
 
 
 def _policy_set(policies: Iterable[Policy]) -> PolicySet:

@@ -133,6 +133,21 @@ class Endpoint:
             label,
         )
 
+    @cached_property
+    def canonical_text(self) -> str:
+        """Canonical JSON text of the fields present (compact, keys
+        sorted), computed on first use; a policy's text is assembled from
+        its two endpoints' texts."""
+        return json.dumps(endpoint_to_dict(self), sort_keys=True, separators=(",", ":"))
+
+    @cached_property
+    def description(self) -> str:
+        """The ``describe_endpoint`` rendering, computed on first use."""
+        fields = endpoint_to_dict(self)
+        if "namespace" in fields:
+            fields["namespace"] = self.namespace.name
+        return "(" + ", ".join(f"{key}={value}" for key, value in fields.items()) + ")"
+
 
 SENTINEL_CIDR = Cidr(0, 0, 0, 0, 0)
 SENTINEL_NAMESPACE = Namespace("-", 0)
@@ -186,8 +201,14 @@ class Policy:
 
     @cached_property
     def canonical_text(self) -> str:
-        """Canonical JSON text of (pair, direction), computed on first use."""
-        return json.dumps(policy_to_dict(self), sort_keys=True, separators=(",", ":"))
+        """Canonical JSON text of (pair, direction), computed on first use:
+        ``json.dumps(policy_to_dict(policy), sort_keys=True)`` in compact
+        form, assembled from the endpoints' cached texts (the top-level
+        keys are already in sorted order)."""
+        first, second = self.pair
+        return '{"direction":%d,"first":%s,"second":%s}' % (
+            self.direction, first.canonical_text, second.canonical_text
+        )
 
 
 def _origin_rank(policy: Policy) -> str:
@@ -206,6 +227,9 @@ class PolicySet(Set):
     ``tables`` holds the per-mode tables ``matching`` builds on a set's
     first query in a mode (a lookup dict and one row per member, the rows
     in canonical order), so every state holding the set shares them.
+    ``adding`` hands them to the set it derives, which adds its one new
+    member to each; this set is left without tables, and a later query
+    of it builds them again.
     """
 
     def __init__(self, policies: Iterable[Policy] = ()):
@@ -221,11 +245,15 @@ class PolicySet(Set):
         self.tables: dict = {}
 
     def adding(self, policy: Policy) -> PolicySet:
-        """This set plus a policy it does not hold, with tables of its own."""
+        """This set plus a policy it does not hold.  The new set takes this
+        set's tables, each with the policy added; this one keeps none."""
         if policy in self._copies:
             raise ValueError(f"policy already in the set: {policy.canonical_text}")
         derived = PolicySet()
         derived._copies = self._copies | {policy: (policy,)}
+        derived.tables, self.tables = self.tables, {}
+        for table in derived.tables.values():
+            table.add(policy)
         return derived
 
     def copies(self, policy: Policy) -> tuple[Policy, ...]:
@@ -309,6 +337,23 @@ class SystemState:
         object.__setattr__(self, "app_data", logs)
 
 
+_VALIDATED = {"policies": PolicySet, "endpoints": frozenset}
+
+
+def replace_validated(state: SystemState, **fields) -> SystemState:
+    """``dataclasses.replace(state, **fields)`` for ``policies`` (a
+    PolicySet) and ``endpoints`` (a frozenset) given as the types
+    ``__post_init__`` makes them.  Neither field feeds another, so the
+    state's other fields, already validated, are copied as they are
+    instead of being derived again (``by_id`` and the logs cost about as
+    much as the rest of a policy write)."""
+    if not all(isinstance(value, _VALIDATED.get(name, ())) for name, value in fields.items()):
+        raise TypeError(f"not a validated policies or endpoints value: {sorted(fields)}")
+    derived = object.__new__(SystemState)
+    vars(derived).update(vars(state), **fields)
+    return derived
+
+
 def new_system() -> SystemState:
     """A fresh system: no applications, policies, endpoints or data."""
     return SystemState()
@@ -350,7 +395,7 @@ def policy_to_dict(policy: Policy) -> dict:
 
 
 def canonical_endpoint_text(ep: Endpoint) -> str:
-    return json.dumps(endpoint_to_dict(ep), sort_keys=True, separators=(",", ":"))
+    return ep.canonical_text
 
 
 def canonical_policy_text(policy: Policy) -> str:
@@ -359,7 +404,4 @@ def canonical_policy_text(policy: Policy) -> str:
 
 def describe_endpoint(ep: Endpoint) -> str:
     """Compact human-readable endpoint rendering (present fields only)."""
-    fields = endpoint_to_dict(ep)
-    if "namespace" in fields:
-        fields["namespace"] = ep.namespace.name
-    return "(" + ", ".join(f"{key}={value}" for key, value in fields.items()) + ")"
+    return ep.description

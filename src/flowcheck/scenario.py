@@ -38,6 +38,7 @@ from .model import (
     get_application,
     new_system,
     normalize_fields,
+    replace_validated,
 )
 
 ACTIONS = ("create_endpoint", "create_policy", "deploy_application", "send_data")
@@ -53,7 +54,7 @@ def create_endpoint(state, cidr=None, namespace=None, port=None, label=None):
     ep = Endpoint(cidr=cidr, namespace=namespace, port=port, label=label)
     if ep in state.endpoints:
         raise DuplicateEndpoint(f"endpoint already exists: {describe_endpoint(ep)}")
-    return replace(state, endpoints=state.endpoints | {ep}), ep
+    return replace_validated(state, endpoints=state.endpoints | {ep}), ep
 
 
 def create_policy(state, first: Endpoint, second: Endpoint, direction: Direction):
@@ -67,7 +68,7 @@ def create_policy(state, first: Endpoint, second: Endpoint, direction: Direction
         policies = state.policies.adding(policy)
     except ValueError:
         raise DuplicatePolicy(f"policy already exists: {canonical_policy_text(policy)}") from None
-    return replace(state, policies=policies), policy
+    return replace_validated(state, policies=policies), policy
 
 
 def deploy_application(

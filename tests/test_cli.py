@@ -451,6 +451,21 @@ def test_an_input_error_names_its_file(args, content, message, tmp_path, capsys)
     assert captured.err.count("error:") == 1
 
 
+@pytest.mark.parametrize("content, mark", [
+    ("endpoints:\n  a: {label: [x\n", 'in "topology document", line 2, column 14'),
+    ('endpoints:\n  a: {label: "\x07"}\n', 'in "topology document", position 25'),
+], ids=["syntax", "control-character"])
+def test_a_yaml_error_mark_names_the_document_kind(content, mark, tmp_path, capsys):
+    path = tmp_path / "topology.yaml"
+    path.write_text(content, encoding="utf-8")
+    assert main(["reachability", "--topology", str(path)]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[:1]
+    assert lines[0].startswith(f"error: {path}: topology document: ")
+    assert mark in err and "<unicode string>" not in err
+
+
 # Hostile documents built from the schema's own key names: values include
 # negative, huge and bool ints, "", lists and nested maps; keys mix types.
 _names = st.sampled_from(["a", "b"])

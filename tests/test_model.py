@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -22,12 +23,15 @@ from flowcheck import (
     canonical_policy_text,
     create_policy,
     evaluate,
+    explain,
     get_application,
     new_system,
     normalize_fields,
     parse_cidr,
     send_data,
 )
+from flowcheck import matching
+from flowcheck.model import replace_validated
 from flowcheck.errors import InvalidCidrString
 
 
@@ -169,18 +173,41 @@ class TestPolicySet:
         assert (policies | {self.A_FROM_B}) == policies
         assert [p.origin for p in sorted(policies, key=canonical_policy_text)] == [PolicyOrigin("d", 0), None]
 
-    def test_adding_leaves_the_old_set_and_its_tables(self):
+    def test_adding_leaves_the_old_set_and_its_tables(self, monkeypatch):
+        # the write hands the old set's tables to the new set, which then
+        # holds what a fresh build of it would; the old set keeps none, and
+        # queried again it builds each mode's table once and answers as before
+        wide = Endpoint(cidr=Cidr(10, 0, 0, 0, 8))
         state, _ = create_policy(new_system(), self.EP_A, self.EP_B, Direction.INGRESS)
+        state, wide_to_a = create_policy(state, wide, self.EP_A, Direction.EGRESS)
         old = state.policies
+        flows = [(self.EP_B, self.EP_A), (self.EP_A, self.EP_B), (Endpoint(cidr=Cidr(10, 1, 2, 3, 32)), self.EP_A)]
+
+        def answers(policies):
+            return [(evaluate(policies, *flow, mode), explain(policies, *flow, mode)) for mode in MatchMode
+                    for flow in flows]
+
+        def buckets(lookup):
+            return {shapes: {keys: Counter(map(id, found)) for keys, found in keyed.items()}
+                    for shapes, keyed in lookup.items()}
+
+        before = answers(old)
         assert evaluate(old, self.EP_B, self.EP_A, MatchMode.STRICT).allowed
-        lookup, rows = table = old.tables[MatchMode.STRICT]
-        before = ({shapes: {key: list(found) for key, found in keyed.items()} for shapes, keyed in lookup.items()},
-                  list(rows))
+        assert set(old.tables) == set(MatchMode)
         new_state, policy = create_policy(state, self.EP_B, self.EP_A, Direction.INGRESS)
-        assert new_state.policies == {self.A_FROM_B, policy} and new_state.policies.tables == {}
-        assert evaluate(new_state.policies, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
-        assert state.policies is old and list(old) == [self.A_FROM_B] and policy not in old
-        assert old.tables == {MatchMode.STRICT: before} and old.tables[MatchMode.STRICT] is table
+        new = new_state.policies
+        assert new == {self.A_FROM_B, wide_to_a, policy} and old.tables == {}
+        for mode in MatchMode:
+            (lookup, rows), (fresh_lookup, fresh_rows) = new.tables[mode], matching._build_table(new, mode)
+            assert len(rows) == len(fresh_rows) == 3
+            assert all(row[0] is fresh[0] and row[1:] == fresh[1:] for row, fresh in zip(rows, fresh_rows))
+            assert buckets(lookup) == buckets(fresh_lookup)
+        assert evaluate(new, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
+        builds, build_table = [], matching._build_table
+        monkeypatch.setattr(matching, "_build_table", lambda *args: builds.append(args[1]) or build_table(*args))
+        assert state.policies is old and list(old) == [self.A_FROM_B, wide_to_a] and policy not in old
+        assert answers(old) == before and answers(old) == before
+        assert builds == list(MatchMode)
         assert not evaluate(old, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
         with pytest.raises(ValueError):
             new_state.policies.adding(policy)
@@ -219,6 +246,18 @@ class TestSystemState:
         assert state.app_data[1] == () and len(state.app_data[2]) == 1
         msg = Message()
         assert SystemState(applications={a1, a2}, app_data={2: [msg]}).app_data == {2: (msg,), 1: ()}
+
+    def test_a_write_copies_the_fields_it_leaves(self):
+        ep1, ep2 = Endpoint(label="a"), Endpoint(label="b")
+        a1 = Application(app_id=1, send_endpoint=ep1)
+        state = SystemState(applications={a1}, endpoints={ep1})
+        written, _ = create_policy(state, ep1, ep2, Direction.EGRESS)
+        assert written.by_id is state.by_id and written.app_data is state.app_data
+        assert written.endpoints is state.endpoints and written.applications is state.applications
+        assert written == SystemState(applications={a1}, policies=written.policies, endpoints={ep1})
+        for fields in ({"policies": frozenset()}, {"endpoints": {ep2}}, {"applications": frozenset()}):
+            with pytest.raises(TypeError):
+                replace_validated(state, **fields)
 
     def test_get_application(self):
         a1 = Application(app_id=1, send_endpoint=Endpoint(label="a"))

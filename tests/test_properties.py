@@ -399,6 +399,11 @@ class TestCanonicalText:
         q = data.draw(near_policies(p) | st.builds(Policy, pair=endpoints, direction=direction_st))
         assert (canonical_policy_text(p) == canonical_policy_text(q)) == (p == q)
 
+    @given(st.builds(Policy, pair=st.tuples(sentinel_endpoint_st, sentinel_endpoint_st), direction=direction_st))
+    def test_policy_text_is_the_sorted_json_text(self, policy):
+        # assembled from the endpoints' texts, it is the oracle's json.dumps form
+        assert canonical_policy_text(policy) == canonical_rank(policy)[0]
+
 
 class SystemOperations(RuleBasedStateMachine):
     """Random operation sequences keep the system-state invariants."""
@@ -475,3 +480,75 @@ class SystemOperations(RuleBasedStateMachine):
 
 TestSystemOperations = SystemOperations.TestCase
 TestSystemOperations.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
+
+
+class KeptStates(RuleBasedStateMachine):
+    """A policy write hands its set's tables to the set it derives.
+    Sends on the newest state and on kept older ones, in either mode,
+    decide and explain every flow as the literal oracle does: an older
+    set answers from tables it builds again, never from ones it gave
+    away, and the rows a write inserts keep the canonical order."""
+
+    def __init__(self):
+        super().__init__()
+        self.states = [new_system()]  # every state made, the newest last
+        self.next_id = 1
+
+    @property
+    def newest(self):
+        return self.states[-1]
+
+    @rule(ep=endpoint_st)
+    def add_endpoint(self, ep):
+        try:
+            state, _ = create_endpoint(self.newest, ep.cidr, ep.namespace, ep.port, ep.label)
+        except (DuplicateEndpoint, ValueError):  # ValueError: every field a sentinel
+            return
+        self.states.append(state)
+
+    @precondition(lambda self: self.newest.endpoints)
+    @rule(data=st.data(), direction=direction_st)
+    def add_policy(self, data, direction):
+        endpoints = sorted(self.newest.endpoints, key=canonical_endpoint_text)
+        first, second = data.draw(st.tuples(st.sampled_from(endpoints), st.sampled_from(endpoints)))
+        try:
+            state, _ = create_policy(self.newest, first, second, direction)
+        except DuplicatePolicy:
+            return
+        self.states.append(state)
+
+    @precondition(lambda self: self.newest.endpoints)
+    @rule(data=st.data())
+    def deploy(self, data):
+        send = data.draw(st.sampled_from(sorted(self.newest.endpoints, key=canonical_endpoint_text)))
+        self.states.append(deploy_application(self.newest, self.next_id, send))
+        self.next_id += 1
+
+    @precondition(lambda self: self.newest.applications)
+    @rule(data=st.data(), mode=mode_st, newest=st.booleans())
+    def send(self, data, mode, newest):
+        # a kept state is any with an application, so every state's set is asked
+        kept = [i for i, state in enumerate(self.states) if state.applications]
+        index = len(self.states) - 1 if newest else data.draw(st.sampled_from(kept))
+        state = self.states[index]
+        ids = sorted(state.by_id)
+        sid, rid = data.draw(st.tuples(st.sampled_from(ids), st.sampled_from(ids)))
+        rep = data.draw(st.sampled_from(sorted(state.endpoints, key=canonical_endpoint_text)))
+        sender = state.by_id[sid].send_endpoint
+        members = sorted(state.policies, key=canonical_rank)
+        found = [policy for policy in members if permits(policy, sender, rep, mode)]
+        try:
+            after, verdict = send_data(state, sid, rid, rep, mode)
+        except PolicyViolation as denied:
+            assert found == []
+            assert [(id(p), predicate) for p, predicate in denied.verdict.failed_predicates] == [
+                (id(p), first_failure(p, sender, rep, mode)) for p in members
+            ]
+            return
+        assert verdict.matched_policy is found[0]
+        if index == len(self.states) - 1:
+            self.states.append(after)
+
+
+TestKeptStates = KeptStates.TestCase
+TestKeptStates.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)

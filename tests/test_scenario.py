@@ -402,3 +402,25 @@ class TestDeferredDenials:
         assert verdict.failed_predicates == explain(state.policies, CLIENT, WEBUI, MatchMode.STRICT)
         assert [predicate for _, predicate in verdict.failed_predicates] == ["sender.cidr"]
         assert denied.value.verdict is verdict
+
+
+class TestWritesHandTheirTablesOn:
+    @pytest.mark.parametrize("mode", [MatchMode.STRICT, MatchMode.SEMANTIC])
+    def test_writes_between_sends_build_no_table(self, mode, monkeypatch):
+        # 4 rounds of 5 writes and a denied send, then the permitting write
+        # and an allowed send: the first send builds the mode's table, and
+        # every later write adds its policy to it instead of a send rebuilding
+        builds = counted(monkeypatch, "_build_table")
+        writes = [
+            ScenarioStep("create_policy", {"first": WEBUI, "second": Endpoint(cidr=Cidr(10, 28, 2, 4 * i, 30)),
+                                           "direction": Direction.INGRESS})
+            for i in range(20)
+        ]
+        send = ScenarioStep("send_data", {"from": 1, "to": 2, "endpoint": WEBUI}, DENIED)
+        steps = denied_sends(1)
+        for start in range(0, 20, 5):
+            steps += [*writes[start:start + 5], send]
+        report = run_scenario(steps + denied_then_permitted()[-2:], mode)
+        assert report.passed and report.outcomes[-1].actual == "ok"
+        assert len(report.final_state.policies) == 22
+        assert [args[1] for args in builds] == [mode]
