@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import FlowcheckError
@@ -42,40 +41,30 @@ from .reachability import compute_reachability
 from .scenario import run_scenario
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse):
+    """``parse`` applied to the text of the file at ``path``.
+
+    A file that cannot be read is an error naming it, and an input error
+    that ``parse`` raises is prefixed with the path, as warnings are.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FlowcheckError(f"cannot read {path}: {exc}") from exc
-
-
-@contextmanager
-def _naming(path):
-    """An input error raised in the block names the file, as warnings do."""
     try:
-        yield
+        return parse(text)
     except FlowcheckError as exc:
         raise FlowcheckError(f"{path}: {exc}") from exc
 
 
 def _load_policies(paths):
-    policies = []
-    for path in paths or ():
-        text = _read_text(path)
-        with _naming(path):
-            doc = parse_cilium_policy(text)
-            for warning in doc.warnings:
-                print(f"warning: {path}: {warning}", file=sys.stderr)
-            policies.extend(expand_rules(doc))
-    return policies
+    def expand(path, text):
+        doc = parse_cilium_policy(text)
+        for warning in doc.warnings:
+            print(f"warning: {path}: {warning}", file=sys.stderr)
+        return expand_rules(doc)
 
-
-def _load_topology(path):
-    if path is None:
-        return None
-    text = _read_text(path)
-    with _naming(path):
-        return parse_topology(text)
+    return [policy for path in paths for policy in _load(path, lambda text: expand(path, text))]
 
 
 def _origin_text(policy) -> str:
@@ -135,11 +124,9 @@ def _ensure_host_cidrs(endpoints, what: str) -> None:
 
 def cmd_check(args) -> int:
     policies = _load_policies(args.policies)
-    topology = _load_topology(args.topology)
+    topology = None if args.topology is None else _load(args.topology, parse_topology)
     symbols = topology[0] if topology is not None else None
-    text = _read_text(args.scenario)
-    with _naming(args.scenario):
-        script = parse_scenario(text, symbols=symbols)
+    script = _load(args.scenario, lambda text: parse_scenario(text, symbols=symbols))
     mode = MatchMode(args.mode) if args.mode else (script.mode or MatchMode.STRICT)
     if mode is MatchMode.SEMANTIC:
         _ensure_host_cidrs(script.concrete_endpoints(), "scenario application/target endpoints")
@@ -166,7 +153,7 @@ def cmd_check(args) -> int:
 
 def cmd_reachability(args) -> int:
     policies = _load_policies(args.policies)
-    topology = _load_topology(args.topology)
+    topology = _load(args.topology, parse_topology)
     mode = MatchMode(args.mode) if args.mode else MatchMode.STRICT
     if mode is MatchMode.SEMANTIC:
         _ensure_host_cidrs(topology[0].values(), "topology endpoints")

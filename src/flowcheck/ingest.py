@@ -235,24 +235,20 @@ def _require_key(node: Mapping, key: str, where: str):
     return node[key]
 
 
-def _mappings(value, where: str):
-    """Yield ``(f"{where}[i]", entry)`` for a list whose entries are mappings."""
-    for i, entry in enumerate(_require_list(value, where)):
-        yield f"{where}[{i}]", _require_mapping(entry, f"{where}[{i}]")
-
-
 # policy keys that can narrow what is allowed: ignoring one with a value may widen it
-_WIDENING = frozenset("""matchExpressions except rules ingressDeny egressDeny fromRequires toRequires
-    icmps serverNames authentication specs""".split())
+_WIDENING = frozenset("""matchExpressions except rules listener ingressDeny egressDeny fromRequires
+    toRequires icmps serverNames authentication specs""".split())
 
 
-def _check_keys(node: Mapping, allowed, where: str, warnings: Optional[list] = None) -> None:
-    """Report the keys of ``node`` outside ``allowed``.
+def _node(value, allowed, where: str, warnings: Optional[list] = None) -> Mapping:
+    """``value`` as a mapping, its keys checked against ``allowed``.
 
-    Policy documents pass ``warnings`` and get one warning per unknown key,
+    Policy nodes pass ``warnings`` and get one warning per unknown key,
     in document order, failing only on a non-empty ``_WIDENING`` key or a
-    protocol other than TCP or ANY.  Other files pass none and fail.
+    protocol other than TCP or ANY.  Topology and scenario nodes pass none
+    and fail on any unknown key.
     """
+    node = _require_mapping(value, where)
     unknown = [key for key in node if key not in allowed]
     if warnings is not None:
         for key in unknown:
@@ -261,6 +257,14 @@ def _check_keys(node: Mapping, allowed, where: str, warnings: Optional[list] = N
         warnings.extend(f"{where}: unknown key {key!r}" for key in unknown)
     elif unknown:
         raise MalformedYaml(f"{where}: unknown keys {sorted(unknown, key=repr)}")
+    return node
+
+
+def _nodes(value, allowed, where: str, warnings: Optional[list] = None):
+    """Yield ``(f"{where}[i]", node)`` for each entry of the list ``value``,
+    checked by ``_node`` only when reached, after the entries before it."""
+    for i, entry in enumerate(_require_list(value, where)):
+        yield f"{where}[{i}]", _node(entry, allowed, f"{where}[{i}]", warnings)
 
 
 def parse_decimal(text: str):
@@ -325,8 +329,7 @@ def _is_label_key(key: str) -> bool:
 
 def _parse_selector(node, where: str, warnings: list) -> dict:
     """The matchLabels map of an endpointSelector or fromEndpoints entry."""
-    node = _require_mapping(node, where)
-    _check_keys(node, {"matchLabels"}, where, warnings)
+    node = _node(node, {"matchLabels"}, where, warnings)
     labels = _require_mapping(node.get("matchLabels", {}), f"{where}.matchLabels")
     if not all(isinstance(key, str) and isinstance(item, str) for key, item in labels.items()):
         raise MalformedYaml(f"{where}.matchLabels: matchLabels entries must map strings to strings")
@@ -340,29 +343,25 @@ def _parse_selector(node, where: str, warnings: list) -> dict:
 
 def _parse_to_ports(value, where: str, warnings: list) -> tuple[int, ...]:
     ports = []
-    for block_where, block in _mappings(value, where):
-        _check_keys(block, {"ports"}, block_where, warnings)
-        for entry_where, entry in _mappings(block.get("ports", []), f"{block_where}.ports"):
-            _check_keys(entry, {"port"}, entry_where, warnings)
+    for block_where, block in _nodes(value, {"ports"}, where, warnings):
+        for entry_where, entry in _nodes(block.get("ports", []), {"port"}, f"{block_where}.ports", warnings):
             ports.append(_parse_port(_require_key(entry, "port", entry_where), entry_where))
     return tuple(ports)
 
 
 def _parse_cidr_set(value, where: str, warnings: list) -> tuple[Cidr, ...]:
     cidrs = []
-    for entry_where, entry in _mappings(value, where):
-        _check_keys(entry, {"cidr"}, entry_where, warnings)
+    for entry_where, entry in _nodes(value, {"cidr"}, where, warnings):
         cidr = _require_str(_require_key(entry, "cidr", entry_where), f"{entry_where}.cidr")
         cidrs.append(parse_cidr(cidr))
     return tuple(cidrs)
 
 
 def _parse_ingress_rule(rule: Mapping, where: str, warnings: list) -> IngressRule:
-    _check_keys(rule, {"fromCIDRSet", "fromEndpoints", "toPorts"}, where, warnings)
     from_cidrs = _parse_cidr_set(rule.get("fromCIDRSet", []), f"{where}.fromCIDRSet", warnings)
     from_endpoints = tuple(
-        _parse_selector(entry, entry_where, warnings)
-        for entry_where, entry in _mappings(rule.get("fromEndpoints", []), f"{where}.fromEndpoints")
+        _parse_selector(entry, f"{where}.fromEndpoints[{i}]", warnings)
+        for i, entry in enumerate(_require_list(rule.get("fromEndpoints", []), f"{where}.fromEndpoints"))
     )
     if not from_cidrs and not from_endpoints:
         raise MalformedYaml(f"{where}: needs at least one of fromCIDRSet, fromEndpoints")
@@ -371,7 +370,6 @@ def _parse_ingress_rule(rule: Mapping, where: str, warnings: list) -> IngressRul
 
 
 def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> EgressRule:
-    _check_keys(rule, {"toCIDRSet", "toPorts"}, where, warnings)
     to_cidrs = _parse_cidr_set(_require_key(rule, "toCIDRSet", where), f"{where}.toCIDRSet", warnings)
     if not to_cidrs:
         raise MalformedYaml(f"{where}: toCIDRSet must not be empty")
@@ -383,7 +381,7 @@ def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
     """Parse the accepted CiliumNetworkPolicy subset.
 
     Unknown keys of the document and inside ``spec`` are warnings on the
-    returned document unless ``_check_keys`` raises; anything malformed in
+    returned document unless ``_node`` raises; anything malformed in
     the subset raises.
     """
     data = _require_mapping(_load_yaml(text, "policy document"), "policy document")
@@ -393,20 +391,21 @@ def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
         if data.get(key) != expected:
             raise error(f"{key} must be {expected!r}, got {data.get(key)!r}")
     warnings: list = []
-    _check_keys(data, {"apiVersion", "kind", "metadata", "spec"}, "policy document", warnings)
+    _node(data, {"apiVersion", "kind", "metadata", "spec"}, "policy document", warnings)
     metadata = _require_mapping(data.get("metadata"), "metadata")
     name = _require_str(metadata.get("name"), "metadata.name")
     namespace = _require_str(metadata.get("namespace"), "metadata.namespace")
-    spec = _require_mapping(data.get("spec"), "spec")
-    _check_keys(spec, {"endpointSelector", "ingress", "egress"}, "spec", warnings)
+    spec = _node(data.get("spec"), {"endpointSelector", "ingress", "egress"}, "spec", warnings)
     selector = _parse_selector(spec.get("endpointSelector"), "spec.endpointSelector", warnings)
     ingress_rules = tuple(
         _parse_ingress_rule(rule, where, warnings)
-        for where, rule in _mappings(spec.get("ingress", []), "spec.ingress")
+        for where, rule in _nodes(
+            spec.get("ingress", []), {"fromCIDRSet", "fromEndpoints", "toPorts"}, "spec.ingress", warnings
+        )
     )
     egress_rules = tuple(
         _parse_egress_rule(rule, where, warnings)
-        for where, rule in _mappings(spec.get("egress", []), "spec.egress")
+        for where, rule in _nodes(spec.get("egress", []), {"toCIDRSet", "toPorts"}, "spec.egress", warnings)
     )
     return CiliumPolicyDoc(
         name=name,
@@ -496,15 +495,14 @@ _ENDPOINT_KEYS = frozenset({"cidr", "namespace", "port", "label"})
 def parse_endpoint_fields(data, where: str) -> Endpoint:
     """One endpoint from its cidr, namespace (a name or a ``{name, id}``
     mapping), port and label fields, sentinel values normalized to absent."""
-    data = _require_mapping(data, where)
-    _check_keys(data, _ENDPOINT_KEYS, where)
+    data = _node(data, _ENDPOINT_KEYS, where)
     cidr = None
     if data.get("cidr") is not None:
         cidr = parse_cidr(_require_str(data["cidr"], f"{where}.cidr"))
     namespace = None
     ns_value = data.get("namespace")
     if isinstance(ns_value, Mapping):
-        _check_keys(ns_value, {"name", "id"}, f"{where}.namespace")
+        _node(ns_value, {"name", "id"}, f"{where}.namespace")
         namespace = Namespace(
             _require_str(ns_value.get("name"), f"{where}.namespace.name"),
             _require_int(
@@ -575,8 +573,8 @@ class ApplicationRecord:
 
 def parse_topology(text: str):
     """Parse a topology document into (named endpoints, application records)."""
-    data = _require_mapping(_load_yaml(text, "topology document"), "topology document")
-    _check_keys(data, {"endpoints", "applications"}, "topology")
+    data = _node(_require_mapping(_load_yaml(text, "topology document"), "topology document"),
+                 {"endpoints", "applications"}, "topology")
 
     endpoints: dict[str, Endpoint] = {}
     for name, fields in _require_mapping(data.get("endpoints", {}), "endpoints").items():
@@ -584,8 +582,7 @@ def parse_topology(text: str):
         endpoints[name] = parse_endpoint_fields(fields, f"endpoints.{name}")
 
     records: dict[int, ApplicationRecord] = {}
-    for where, entry in _mappings(data.get("applications", []), "applications"):
-        _check_keys(entry, _APP_KEYS | {"name"}, where)
+    for where, entry in _nodes(data.get("applications", []), _APP_KEYS | {"name"}, "applications"):
         app = _parse_application(entry, where, endpoints)
         if app["id"] in records:
             raise DuplicateSymbol(f"{where}: application id {app['id']} declared twice")
@@ -648,8 +645,8 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
     earlier create_endpoint / create_policy steps, plus any pre-declared
     symbols (e.g. the endpoint names of an already-loaded topology).
     """
-    data = _require_mapping(_load_yaml(text, "scenario document"), "scenario document")
-    _check_keys(data, {"mode", "steps"}, "scenario")
+    data = _node(_require_mapping(_load_yaml(text, "scenario document"), "scenario document"),
+                 {"mode", "steps"}, "scenario")
     mode = None
     if data.get("mode") is not None:
         try:
@@ -667,13 +664,13 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
         return name
 
     steps = []
-    for where, raw in _mappings(data.get("steps"), "steps"):
-        if len(raw) != 1:
+    for i, raw in enumerate(_require_list(data.get("steps"), "steps")):
+        # a step's one-action test comes before its key check, so steps are not read by _nodes
+        where = f"steps[{i}]"
+        if len(_require_mapping(raw, where)) != 1:
             raise MalformedYaml(f"{where}: step must have exactly one action key")
-        _check_keys(raw, _ACTIONS, where)
-        action, body = next(iter(raw.items()))
-        body = _require_mapping(body, f"{where}.{action}")
-        _check_keys(body, _ACTIONS[action][1] | {"expect"}, where)
+        action, body = next(iter(_node(raw, _ACTIONS, where).items()))
+        body = _node(_require_mapping(body, f"{where}.{action}"), _ACTIONS[action][1] | {"expect"}, where)
         expected = _parse_expectation(body.get("expect"), action, where)
 
         if action == "create_endpoint":

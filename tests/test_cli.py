@@ -451,6 +451,39 @@ def test_an_input_error_names_its_file(args, content, message, tmp_path, capsys)
     assert captured.err.count("error:") == 1
 
 
+# ways an input path can fail to read, each given the path to make
+UNREADABLE = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "not-utf-8": lambda path: path.write_bytes(b"steps: [\xff]\n"),
+}
+
+
+@pytest.mark.parametrize("make", list(UNREADABLE.values()), ids=list(UNREADABLE))
+@pytest.mark.parametrize(
+    "args", [args for args, _, _ in NAMED_INPUT_ERRORS.values()], ids=list(NAMED_INPUT_ERRORS)
+)
+def test_an_unreadable_input_is_one_error_line(args, make, tmp_path, capsys):
+    path = tmp_path / "input.yaml"
+    make(path)
+    assert main([str(path) if arg == "BAD" else arg for arg in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_warning_is_printed_before_a_later_file_fails_to_read(tmp_path, capsys):
+    noisy, missing = tmp_path / "noisy.yaml", tmp_path / "missing.yaml"
+    noisy.write_text(Path(UI_POLICY).read_text(encoding="utf-8") + "status: {}\n", encoding="utf-8")
+    assert main(["explain", "--policies", str(noisy), str(missing), "--", "label=x", "label=y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    warning, error = captured.err.splitlines()
+    assert warning == f"warning: {noisy}: policy document: unknown key 'status'"
+    assert error.startswith(f"error: cannot read {missing}: ")
+
+
 @pytest.mark.parametrize("content, mark", [
     ("endpoints:\n  a: {label: [x\n", 'in "topology document", line 2, column 14'),
     ('endpoints:\n  a: {label: "\x07"}\n', 'in "topology document", position 25'),

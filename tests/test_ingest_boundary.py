@@ -7,8 +7,9 @@ import re
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from flowcheck import MalformedYaml, expand_rules, parse_cilium_policy
+from flowcheck import MalformedYaml, expand_rules, ingest, parse_cilium_policy
 from flowcheck.cli import main
 
 # one unknown key at each of the eight policy nodes, two at spec
@@ -85,6 +86,8 @@ WIDENING_KEYS = [
     ("spec.ingress[0].fromEndpoints[0]", "matchExpressions", SELECT_TIER),
     ("spec.ingress[0].toPorts[0]", "rules", {"http": [{"method": "GET"}]}),
     ("spec.ingress[0].toPorts[0]", "serverNames", ["only.example.com"]),
+    ("spec.ingress[0].toPorts[0]", "listener",
+     {"envoyConfig": {"kind": "CiliumEnvoyConfig", "name": "f"}, "name": "l7"}),
     ("spec.ingress[0].toPorts[0].ports[0]", "protocol", "UDP"),
     ("spec.egress[0]", "toRequires", [{"matchLabels": {"env": "prod"}}]),
     ("spec.egress[0]", "authentication", {"mode": "required"}),
@@ -114,6 +117,63 @@ def test_widening_keys_fail_closed(where, key, value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: {path}: {where}: unsupported key {key!r}")
+
+
+def test_every_widening_key_has_a_fail_closed_case():
+    # a top-level specs list has its own case, test_a_top_level_specs_list_fails_closed,
+    # since _with_key places a key below the document only
+    assert set(ingest._WIDENING) | {"protocol"} == {key for _, key, _ in WIDENING_KEYS} | {"specs"}
+
+
+# every node of PLAIN_POLICY whose keys ingest checks, below the document
+POLICY_NODES = [
+    "spec", "spec.endpointSelector",
+    "spec.ingress[0]", "spec.ingress[0].fromCIDRSet[0]", "spec.ingress[0].fromEndpoints[0]",
+    "spec.ingress[0].toPorts[0]", "spec.ingress[0].toPorts[0].ports[0]",
+    "spec.egress[0]", "spec.egress[0].toCIDRSet[0]", "spec.egress[0].toPorts[0]",
+    "spec.egress[0].toPorts[0].ports[0]",
+]
+MODELED_KEYS = {"endpointSelector", "ingress", "egress", "matchLabels", "fromCIDRSet", "fromEndpoints",
+                "toPorts", "toCIDRSet", "ports", "port", "cidr"}
+
+# real Cilium keys that flowcheck does not model and whose omission can only
+# narrow what a rule allows
+NARROWING_KEYS = """fromEntities fromNodes fromCIDR toEndpoints toEntities toServices toFQDNs toNodes
+    endPort terminatingTLS originatingTLS enableDefaultDeny description labels""".split()
+
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**63), 2**63) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_an_unmodeled_narrowing_key_only_warns(data):
+    where = data.draw(st.sampled_from(POLICY_NODES))
+    fresh = st.from_regex(r"[a-zA-Z][a-zA-Z0-9]{0,11}", fullmatch=True)
+    key = data.draw((st.sampled_from(NARROWING_KEYS) | fresh).filter(
+        lambda key: key not in ingest._WIDENING | MODELED_KEYS | {"protocol"}
+    ))
+    doc = parse_cilium_policy(_with_key(where, key, data.draw(YAML_VALUES)))
+    assert doc.warnings == (f"{where}: unknown key {key!r}",)
+    plain = parse_cilium_policy(yaml.safe_dump(PLAIN_POLICY))
+    assert plain.warnings == ()
+    assert [(p, p.origin) for p in expand_rules(doc)] == [(p, p.origin) for p in expand_rules(plain)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_widening_key_with_a_value_is_refused(data):
+    where = data.draw(st.sampled_from(POLICY_NODES))
+    key = data.draw(st.sampled_from(sorted(ingest._WIDENING | {"protocol"})))
+    value = data.draw(YAML_VALUES.filter(
+        lambda value: value and (key != "protocol" or value not in ("TCP", "ANY"))
+    ))
+    with pytest.raises(MalformedYaml) as raised:
+        parse_cilium_policy(_with_key(where, key, value))
+    assert str(raised.value).startswith(f"{where}: unsupported key {key!r}")
 
 
 @pytest.mark.parametrize("value", ["TCP", "ANY", ""])
