@@ -18,18 +18,19 @@ and tuples of them), so tables hash and compare them natively; a strict
 key is the normalized fields themselves.
 
 Both answer from a ``PolicySet``; any other iterable is made into one
-for that call only.  Its members are keyed on their oriented pair
-(sender spec, receiver spec) in one table per mode, built on the set's
-first query in that mode and kept in ``PolicySet.tables`` as a lookup
-dict and one row per member in canonical order:
+for that call only.  The members of a set's lineage are keyed on their
+oriented pair (sender spec, receiver spec) in one table per mode, kept
+in the lineage's ``tables`` as a lookup dict, one row per member in
+canonical order and each member's join position, keyed by its id:
 
     ({(sender shape, receiver shape): {(sender key, receiver key): [policies]}},
-     [(policy, (sender shape, receiver shape), (sender key, receiver key), role order)])
+     [(policy, (sender shape, receiver shape), (sender key, receiver key), role order)],
+     {id(policy): position})
 
-A policy write does not build a table: ``PolicySet.adding`` hands each
-table to the set it derives and calls its ``add``, which appends the new
-member to its lookup bucket and inserts its row by canonical text, so a
-write costs one row and a binary search, whatever the set's size.
+A query first gives its table a row for each member that joined the
+lineage since it was last read (``_grow``): each member gets one row per
+mode, ever, and a policy write touches no table.  An older set leaves out
+the hits and rows of members that joined past its length.
 
 A lookup derives the concrete pair's keys under each shape pair the set
 holds, so every hit permits the flow.  Strict mode has the one shape pair
@@ -61,6 +62,8 @@ from .model import (
 class MatchMode(Enum):
     STRICT = "strict"
     SEMANTIC = "semantic"
+
+    __hash__ = object.__hash__  # every query looks its table up by mode; Enum hashes the name in Python
 
 
 @dataclass(frozen=True)
@@ -139,35 +142,17 @@ _FAILED = {
 _ROLE_ORDER = {Direction.INGRESS: (1, 0), Direction.EGRESS: (0, 1)}
 
 
-def _row_text(row) -> str:
-    return row[0].canonical_text
-
-
-class _Table(tuple):
-    """One mode's ``(lookup, rows)``, laid out as the module docstring
-    says, that takes one more member at a time."""
-
-    def __new__(cls, mode: MatchMode):
-        table = super().__new__(cls, ({}, []))
-        table.mode = mode
-        return table
-
-    def add(self, policy: Policy) -> None:
-        """Add a policy no row holds yet (members' texts are distinct)."""
-        lookup, rows = self
+def _grow(lineage, mode: MatchMode) -> tuple[dict, list, dict]:
+    """The lineage's table for the mode, with a row for each member that joined since."""
+    lookup, rows, positions = table = lineage.tables.setdefault(mode, ({}, [], {}))
+    for position in range(len(rows), len(lineage)):
+        policy = lineage[position]
+        positions[id(policy)] = position  # a hash would walk the dataclass tree
         sender, receiver = (spec.normalized for spec in _oriented(policy))
-        shapes = (_shape(sender, self.mode), _shape(receiver, self.mode))
+        shapes = (_shape(sender, mode), _shape(receiver, mode))
         keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
         lookup.setdefault(shapes, {}).setdefault(keys, []).append(policy)
-        insort(rows, (policy, shapes, keys, _ROLE_ORDER[policy.direction]), key=_row_text)
-
-
-def _build_table(policies: PolicySet, mode: MatchMode) -> _Table:
-    """The mode's table of every member; in canonical order, each row
-    goes at the end."""
-    table = _Table(mode)
-    for policy in sorted(policies, key=canonical_policy_text):
-        table.add(policy)
+        insort(rows, (policy, shapes, keys, _ROLE_ORDER[policy.direction]), key=lambda row: row[0].canonical_text)
     return table
 
 
@@ -179,13 +164,17 @@ def permitting(policies: PolicySet, sender_ep: Endpoint, receiver_ep: Endpoint, 
     """Every member that permits the transfer: each of its sender and
     receiver specs has the key of the concrete endpoint under the spec's
     shape."""
-    table = policies.tables.get(mode)
-    if table is None:
-        table = policies.tables[mode] = _build_table(policies, mode)
+    lineage = policies.lineage
+    table = lineage.tables.get(mode)
+    if table is None or len(table[1]) < len(lineage):
+        table = _grow(lineage, mode)
     sender, receiver = sender_ep.normalized, receiver_ep.normalized
     found = []
     for (sender_shape, receiver_shape), keyed in table[0].items():
         found += keyed.get((_key(sender_shape, sender), _key(receiver_shape, receiver)), ())
+    # an older set drops the members that joined after it (a lookup seldom hits more than one)
+    if found and policies.size < len(lineage) and (len(found) > 1 or table[2][id(found[0])] >= policies.size):
+        found = [policy for policy in found if table[2][id(policy)] < policies.size]
     return found
 
 
@@ -218,7 +207,9 @@ def explain(
     concrete = (sender_ep.normalized, receiver_ep.normalized)
     derived: tuple[dict, dict] = ({}, {})  # per side: shape -> the concrete key under it
     names = _FAILED[mode]
-    _, rows = policies.tables[mode]  # built by permitting
+    size, (_, rows, positions) = policies.size, policies.lineage.tables[mode]  # grown by permitting
+    if size < len(rows):  # an older set: skip the members that joined after it
+        rows = [row for row in rows if positions[id(row[0])] < size]
     reasons = []
     for policy, shapes, keys, order in rows:
         predicate = None  # both sides' keys equal: the member permits the flow

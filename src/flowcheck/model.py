@@ -21,6 +21,7 @@ from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import IntEnum
+from itertools import islice
 from typing import Mapping, Optional
 
 from .errors import InvalidCidrString, UnknownApplication
@@ -211,10 +212,18 @@ class Policy:
         )
 
 
-def _origin_rank(policy: Policy) -> str:
-    # orders structurally equal copies; with the canonical text it is the
-    # canonical (text, origin) order witnesses and explanations follow
-    return "" if policy.origin is None else str(policy.origin)
+class _Lineage(list):
+    """Members in join order, shared by a set and the sets its writes
+    derive.  ``joined`` maps each to its position and copies; ``tables``
+    is ``matching``'s, one per mode."""
+
+    def __init__(self, members: Iterable[Policy] = (), joined: Optional[dict] = None):
+        super().__init__(members)
+        self.joined, self.tables = {} if joined is None else joined, {}
+
+    def join(self, copies: tuple[Policy, ...]) -> None:
+        self.joined[copies[0]] = (len(self), copies)
+        self.append(copies[0])
 
 
 class PolicySet(Set):
@@ -224,56 +233,55 @@ class PolicySet(Set):
     to one member: the copy lowest in canonical (text, origin) order, so
     the member and every witness name the same origin whatever the input
     order.  ``copies`` gives all of a member's copies in that order.
-    ``tables`` holds the per-mode tables ``matching`` builds on a set's
-    first query in a mode (a lookup dict and one row per member, the rows
-    in canonical order), so every state holding the set shares them.
-    ``adding`` hands them to the set it derives, which adds its one new
-    member to each; this set is left without tables, and a later query
-    of it builds them again.
+
+    A set is the first ``size`` (its ``len``) members of an append-only
+    ``lineage`` and its tables, shared with the sets its writes derive:
+    ``adding`` on the lineage's newest set appends the policy, and on an
+    older set starts a new lineage from this set's members.
     """
 
     def __init__(self, policies: Iterable[Policy] = ()):
         groups: dict[Policy, list[Policy]] = {}
         for policy in policies:
             groups.setdefault(policy, []).append(policy)
-        # keyed by each group's lowest copy, which iteration yields
-        self._copies = {}
+        self.lineage, self.size = _Lineage(), len(groups)
         for group in groups.values():
-            if len(group) > 1:
-                group.sort(key=_origin_rank)
-            self._copies[group[0]] = tuple(group)
-        self.tables: dict = {}
+            # copies by origin: with their shared text, the canonical order
+            self.lineage.join(tuple(sorted(group, key=lambda copy: str(copy.origin or ""))))
 
     def adding(self, policy: Policy) -> PolicySet:
-        """This set plus a policy it does not hold.  The new set takes this
-        set's tables, each with the policy added; this one keeps none."""
-        if policy in self._copies:
+        """This set plus a policy it does not hold."""
+        if policy in self:
             raise ValueError(f"policy already in the set: {policy.canonical_text}")
-        derived = PolicySet()
-        derived._copies = self._copies | {policy: (policy,)}
-        derived.tables, self.tables = self.tables, {}
-        for table in derived.tables.values():
-            table.add(policy)
+        derived = object.__new__(PolicySet)
+        derived.lineage, derived.size = self.lineage, self.size + 1
+        if self.size < len(self.lineage):
+            # a dict copy computes no hash; later members' entries fail __contains__'s position test
+            derived.lineage = _Lineage(self.lineage[:self.size], self.lineage.joined.copy())
+        derived.lineage.join((policy,))
         return derived
 
     def copies(self, policy: Policy) -> tuple[Policy, ...]:
         """Every copy of a member, in canonical order; its first is the member."""
-        return self._copies[policy]
+        if policy not in self:
+            raise KeyError(policy)
+        return self.lineage.joined[policy][1]
 
     def __contains__(self, policy) -> bool:
-        return policy in self._copies
+        joined = self.lineage.joined.get(policy)
+        return joined is not None and joined[0] < self.size and self.lineage[joined[0]] is joined[1][0]
 
     def __iter__(self):
-        return iter(self._copies)
+        return islice(self.lineage, self.size)
 
     def __len__(self) -> int:
-        return len(self._copies)
+        return self.size
 
-    # hashable like the frozenset it stands in for (and usable as a dataclass default)
+    # hashable like the frozenset it stands in for
     __hash__ = Set._hash
 
     def __repr__(self) -> str:
-        return f"PolicySet({list(self._copies)!r})"
+        return f"PolicySet({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -314,7 +322,7 @@ class SystemState:
     """
 
     applications: frozenset[Application] = frozenset()
-    policies: PolicySet = PolicySet()
+    policies: PolicySet = field(default_factory=PolicySet)
     endpoints: frozenset[Endpoint] = frozenset()
     app_data: Mapping[int, tuple[Message, ...]] = field(default_factory=dict)
     by_id: Mapping[int, Application] = field(init=False, repr=False, compare=False)

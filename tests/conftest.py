@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from flowcheck import matching
+
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
 TEST_DATA = Path(__file__).resolve().parent / "data"
@@ -34,3 +36,34 @@ def scenario_texts() -> dict[str, str]:
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted((DATA / "scenarios").glob("*.yaml"))
     }
+
+
+class InsertedRows(list):
+    """Every row ``matching`` inserts into a table, as (id of the table's
+    row list, id of the row's member), in insertion order."""
+
+    def by_table(self) -> dict[int, list[int]]:
+        """The member ids inserted into each table, sorted."""
+        tables: dict[int, list[int]] = {}
+        for table, member in self:
+            tables.setdefault(table, []).append(member)
+        return {table: sorted(members) for table, members in tables.items()}
+
+    def one_per_member(self, policies, *modes) -> bool:
+        """Whether the rows inserted, ever, are exactly one per member of
+        the set's lineage in each of the modes' tables, and no other."""
+        lineage = policies.lineage
+        members = sorted(map(id, lineage))
+        return self.by_table() == {id(lineage.tables[mode][1]): members for mode in modes}
+
+
+@pytest.fixture
+def inserted_rows(monkeypatch) -> InsertedRows:
+    inserted, insort = InsertedRows(), matching.insort
+
+    def counting(rows, row, **kwargs):
+        inserted.append((id(rows), id(row[0])))
+        return insort(rows, row, **kwargs)
+
+    monkeypatch.setattr(matching, "insort", counting)
+    return inserted

@@ -97,6 +97,31 @@ class TestCheck:
         assert doc["mode"] == "strict"
         assert doc["outcomes"][-1]["action"] == "send_data"
 
+    @pytest.mark.parametrize("mode", ["strict", "semantic"])
+    def test_denials_between_writes_insert_one_row_per_member(self, mode, inserted_rows, tmp_path, capsys):
+        # 4 rounds of 5 policy writes and a denied send: printing reads each
+        # denial's detail on the older set it was decided on, and the table
+        # the sends share gets each of the 20 members' rows once
+        steps = [
+            "create_endpoint: {name: client, cidr: 10.28.1.4/32}",
+            "create_endpoint: {name: webui, namespace: NS-UI, port: 443, label: WebUI}",
+            "deploy_application: {id: 1, send: client, listen: [], receive_only: false}",
+            "deploy_application: {id: 2, send: webui, listen: [webui], receive_only: true}",
+        ]
+        for i in range(20):
+            steps += [f"create_endpoint: {{name: peer{i}, cidr: 10.28.2.{4 * i}/30}}",
+                      f"create_policy: {{name: pol{i}, first: webui, second: peer{i}, direction: 0}}"]
+            if i % 5 == 4:
+                steps.append("send_data: {from: 1, to: 2, endpoint: webui, expect: deny}")
+        scenario = tmp_path / "churn.yaml"
+        scenario.write_text(f"mode: {mode}\nsteps:\n" + "".join(f"  - {step}\n" for step in steps), encoding="utf-8")
+        assert main(["check", "--scenario", str(scenario), "--format", "json"]) == 0
+        sends = [outcome for outcome in json.loads(capsys.readouterr().out)["outcomes"]
+                 if outcome["action"] == "send_data"]
+        assert [send["detail"].count(" failed sender.cidr") for send in sends] == [5, 10, 15, 20]
+        tables = inserted_rows.by_table().values()
+        assert [(len(members), len(set(members))) for members in tables] == [(20, 20)]
+
     def test_check_listen_flag(self, capsys):
         # the command flow's receiving asset listens nowhere, so the opt-in
         # listen validation flips the expected-allow step to a violation

@@ -285,19 +285,13 @@ class TestExplain:
         assert {policy for policy, predicate in reasons if predicate is None} == set(policies[:2])
         assert "direction-orientation" in dict(reasons).values()
 
-    def test_explaining_reuses_the_table_build(self, monkeypatch):
+    def test_explaining_reuses_the_table_build(self, monkeypatch, inserted_rows):
         # one set of 60 policies, 20 denied flows decided and explained in
-        # each mode: one build per mode, only the builds derive shapes, and
-        # one lookup per decision plus one (the reversed flow) per explanation
-        builds, shapes, lookups = [], [], []
-        build_table, shape, permitting = matching._build_table, matching._shape, matching.permitting
-
-        def counting_build(policies, mode):
-            table = build_table(policies, mode)
-            builds.append((mode, len(shapes)))
-            return table
-
-        monkeypatch.setattr(matching, "_build_table", counting_build)
+        # each mode: one row per member in each mode's table, only the rows
+        # derive shapes, and one lookup per decision plus one (the reversed
+        # flow) per explanation
+        shapes, lookups = [], []
+        shape, permitting = matching._shape, matching.permitting
         monkeypatch.setattr(matching, "_shape", lambda *args: shapes.append(args) or shape(*args))
         monkeypatch.setattr(matching, "permitting", lambda *args: lookups.append(args) or permitting(*args))
         members = [
@@ -315,7 +309,7 @@ class TestExplain:
             for sender, receiver in flows:
                 assert not evaluate(policies, sender, receiver, mode).allowed
                 assert len(explain(policies, sender, receiver, mode)) == 60
-        assert builds == [(STRICT, 2 * 60), (SEMANTIC, 2 * 2 * 60)]
+        assert inserted_rows.one_per_member(policies, STRICT, SEMANTIC)
         assert len(shapes) == 2 * 2 * 60
         assert len(lookups) == 2 * 20 * 2
         assert dict(explain(policies, *flows[1], SEMANTIC))[members[1]] == "direction-orientation"
@@ -338,16 +332,16 @@ class TestIndexFreshness:
         ]
 
     @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
-    def test_alternating_states_build_each_table_once(self, mode, monkeypatch):
-        # each state's set keeps its own table, so taking turns rebuilds none
-        builds, build_table = [], matching._build_table
-        monkeypatch.setattr(matching, "_build_table", lambda *args: builds.append(args[1]) or build_table(*args))
+    def test_alternating_states_build_each_table_once(self, mode, inserted_rows):
+        # both states' sets share one lineage and its table, so taking turns
+        # inserts no row twice
         first, _ = create_policy(new_system(), WEBUI_EP, CLIENT_EP, Direction.INGRESS)
         second, _ = create_policy(first, COMMAND_EP, ASSET_EP, Direction.EGRESS)
         for _ in range(10):
             assert not evaluate(first.policies, COMMAND_EP, ASSET_EP, mode).allowed
             assert evaluate(second.policies, COMMAND_EP, ASSET_EP, mode).allowed
-        assert builds == [mode, mode]
+        assert first.policies.lineage is second.policies.lineage
+        assert inserted_rows.one_per_member(second.policies, mode)
 
     @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
     def test_mutated_list_never_answered_stale(self, mode):

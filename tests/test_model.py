@@ -30,7 +30,6 @@ from flowcheck import (
     parse_cidr,
     send_data,
 )
-from flowcheck import matching
 from flowcheck.model import replace_validated
 from flowcheck.errors import InvalidCidrString
 
@@ -162,7 +161,7 @@ class TestPolicySet:
             ranked = [(p, p.origin) for p in sorted(policies, key=canonical_policy_text)]
             for mode in MatchMode:
                 evaluate(policies, self.EP_A, self.EP_B, mode)  # builds the mode's table
-                assert [(row[0], row[0].origin) for row in policies.tables[mode][1]] == ranked
+                assert [(row[0], row[0].origin) for row in policies.lineage.tables[mode][1]] == ranked
 
     def test_set_protocol(self):
         a, b = self.copies_of(self.A_FROM_B, PolicyOrigin("d", 1), PolicyOrigin("d", 0))
@@ -173,10 +172,10 @@ class TestPolicySet:
         assert (policies | {self.A_FROM_B}) == policies
         assert [p.origin for p in sorted(policies, key=canonical_policy_text)] == [PolicyOrigin("d", 0), None]
 
-    def test_adding_leaves_the_old_set_and_its_tables(self, monkeypatch):
-        # the write hands the old set's tables to the new set, which then
-        # holds what a fresh build of it would; the old set keeps none, and
-        # queried again it builds each mode's table once and answers as before
+    def test_adding_leaves_the_old_set_and_its_tables(self, inserted_rows):
+        # the write appends to the lineage the old set shares, whose tables
+        # then hold what a fresh build of the new set would; the old set,
+        # queried again, inserts no row and answers as before
         wide = Endpoint(cidr=Cidr(10, 0, 0, 0, 8))
         state, _ = create_policy(new_system(), self.EP_A, self.EP_B, Direction.INGRESS)
         state, wide_to_a = create_policy(state, wide, self.EP_A, Direction.EGRESS)
@@ -193,24 +192,51 @@ class TestPolicySet:
 
         before = answers(old)
         assert evaluate(old, self.EP_B, self.EP_A, MatchMode.STRICT).allowed
-        assert set(old.tables) == set(MatchMode)
+        assert set(old.lineage.tables) == set(MatchMode)
         new_state, policy = create_policy(state, self.EP_B, self.EP_A, Direction.INGRESS)
         new = new_state.policies
-        assert new == {self.A_FROM_B, wide_to_a, policy} and old.tables == {}
+        assert new == {self.A_FROM_B, wide_to_a, policy} and new.lineage is old.lineage
+        rebuilt = PolicySet(new)
         for mode in MatchMode:
-            (lookup, rows), (fresh_lookup, fresh_rows) = new.tables[mode], matching._build_table(new, mode)
-            assert len(rows) == len(fresh_rows) == 3
+            evaluate(new, self.EP_A, self.EP_B, mode)
+            evaluate(rebuilt, self.EP_A, self.EP_B, mode)
+            (lookup, rows, positions), (fresh_lookup, fresh_rows, fresh_positions) = (
+                new.lineage.tables[mode], rebuilt.lineage.tables[mode])
+            assert len(rows) == len(fresh_rows) == 3 and positions == fresh_positions
             assert all(row[0] is fresh[0] and row[1:] == fresh[1:] for row, fresh in zip(rows, fresh_rows))
             assert buckets(lookup) == buckets(fresh_lookup)
         assert evaluate(new, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
-        builds, build_table = [], matching._build_table
-        monkeypatch.setattr(matching, "_build_table", lambda *args: builds.append(args[1]) or build_table(*args))
         assert state.policies is old and list(old) == [self.A_FROM_B, wide_to_a] and policy not in old
         assert answers(old) == before and answers(old) == before
-        assert builds == list(MatchMode)
+        tables = inserted_rows.by_table()
+        assert all(tables[id(new.lineage.tables[mode][1])] == sorted(map(id, new)) for mode in MatchMode)
         assert not evaluate(old, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
         with pytest.raises(ValueError):
             new_state.policies.adding(policy)
+
+
+    def test_copies_of_a_later_member_raise(self):
+        old = PolicySet([self.A_FROM_B])
+        new = old.adding(self.B_FROM_A)
+        assert new.lineage is old.lineage and new.copies(self.B_FROM_A) == (self.B_FROM_A,)
+        assert self.B_FROM_A not in old and list(old) == [self.A_FROM_B]
+        with pytest.raises(KeyError):
+            old.copies(self.B_FROM_A)
+
+    def test_adding_to_an_older_set_starts_a_new_lineage(self):
+        wide = Policy(pair=(self.EP_A, Endpoint(cidr=Cidr(10, 0, 0, 0, 8))), direction=Direction.EGRESS)
+        a, b = self.copies_of(self.A_FROM_B, PolicyOrigin("d", 1), PolicyOrigin("d", 0))
+        old = PolicySet([a, b])
+        newest = old.adding(self.B_FROM_A)
+        branch = old.adding(wide)
+        assert branch.lineage is not old.lineage and old.lineage is newest.lineage
+        assert list(branch) == [b, wide] and branch.copies(b) == (b, a) and self.B_FROM_A not in branch
+        assert list(newest) == [b, self.B_FROM_A] and list(old) == [b]
+        to_b, to_block = (self.EP_A, self.EP_B), (self.EP_A, Endpoint(cidr=Cidr(10, 0, 0, 0, 8)))
+        for mode in MatchMode:
+            assert [evaluate(policies, *flow, mode).allowed for policies in (old, newest, branch)
+                    for flow in (to_b, to_block)] == [False, False, True, False, False, True]
+        assert branch.adding(self.B_FROM_A).lineage is branch.lineage
 
 
 class TestSystemState:
@@ -223,6 +249,14 @@ class TestSystemState:
 
     def test_new_system_deterministic(self):
         assert new_system() == new_system()
+
+    def test_fresh_states_share_no_lineage(self):
+        policy = Policy(pair=(Endpoint(label="a"), Endpoint(label="b")), direction=Direction.INGRESS)
+        first, _ = create_policy(new_system(), *policy.pair, policy.direction)
+        second, _ = create_policy(new_system(), *policy.pair, policy.direction)
+        assert first.policies == second.policies == {policy}
+        assert first.policies.lineage is not second.policies.lineage
+        assert SystemState().policies == frozenset() and SystemState().policies.lineage == []
 
     def test_duplicate_app_ids_rejected(self):
         a1 = Application(app_id=1, send_endpoint=Endpoint(label="a"))

@@ -483,20 +483,39 @@ TestSystemOperations.settings = settings(max_examples=60, stateful_step_count=30
 
 
 class KeptStates(RuleBasedStateMachine):
-    """A policy write hands its set's tables to the set it derives.
-    Sends on the newest state and on kept older ones, in either mode,
-    decide and explain every flow as the literal oracle does: an older
-    set answers from tables it builds again, never from ones it gave
-    away, and the rows a write inserts keep the canonical order."""
+    """A policy set is the first members of a lineage it shares with
+    the sets its writes derive.  Writes go to the newest state and to
+    kept older ones; sends on any state, in either mode, decide and
+    explain every flow as the literal oracle does over the policies that
+    state was written with: an older set leaves out the members that
+    joined its lineage after it, a write on an older set starts a new
+    lineage that the other branch never sees, and the rows a write
+    inserts keep the canonical order."""
 
     def __init__(self):
         super().__init__()
         self.states = [new_system()]  # every state made, the newest last
+        self.written = [()]  # the policies written on each state's way there
         self.next_id = 1
 
     @property
     def newest(self):
         return self.states[-1]
+
+    def made(self, state, written=None):
+        self.states.append(state)
+        self.written.append(self.written[-1] if written is None else written)
+
+    def write(self, index, data, direction):
+        state = self.states[index]
+        endpoints = sorted(state.endpoints, key=canonical_endpoint_text)
+        first, second = data.draw(st.tuples(st.sampled_from(endpoints), st.sampled_from(endpoints)))
+        try:
+            state, policy = create_policy(state, first, second, direction)
+        except DuplicatePolicy:
+            assert Policy(pair=(first, second), direction=direction) in self.written[index]
+            return
+        self.made(state, self.written[index] + (policy,))
 
     @rule(ep=endpoint_st)
     def add_endpoint(self, ep):
@@ -504,24 +523,25 @@ class KeptStates(RuleBasedStateMachine):
             state, _ = create_endpoint(self.newest, ep.cidr, ep.namespace, ep.port, ep.label)
         except (DuplicateEndpoint, ValueError):  # ValueError: every field a sentinel
             return
-        self.states.append(state)
+        self.made(state)
 
     @precondition(lambda self: self.newest.endpoints)
     @rule(data=st.data(), direction=direction_st)
     def add_policy(self, data, direction):
-        endpoints = sorted(self.newest.endpoints, key=canonical_endpoint_text)
-        first, second = data.draw(st.tuples(st.sampled_from(endpoints), st.sampled_from(endpoints)))
-        try:
-            state, _ = create_policy(self.newest, first, second, direction)
-        except DuplicatePolicy:
-            return
-        self.states.append(state)
+        self.write(len(self.states) - 1, data, direction)
+
+    @precondition(lambda self: any(state.endpoints for state in self.states[:-1]))
+    @rule(data=st.data(), direction=direction_st)
+    def add_policy_to_kept(self, data, direction):
+        # the new state is the newest, so later steps build on its branch
+        kept = [i for i, state in enumerate(self.states[:-1]) if state.endpoints]
+        self.write(data.draw(st.sampled_from(kept)), data, direction)
 
     @precondition(lambda self: self.newest.endpoints)
     @rule(data=st.data())
     def deploy(self, data):
         send = data.draw(st.sampled_from(sorted(self.newest.endpoints, key=canonical_endpoint_text)))
-        self.states.append(deploy_application(self.newest, self.next_id, send))
+        self.made(deploy_application(self.newest, self.next_id, send))
         self.next_id += 1
 
     @precondition(lambda self: self.newest.applications)
@@ -535,7 +555,7 @@ class KeptStates(RuleBasedStateMachine):
         sid, rid = data.draw(st.tuples(st.sampled_from(ids), st.sampled_from(ids)))
         rep = data.draw(st.sampled_from(sorted(state.endpoints, key=canonical_endpoint_text)))
         sender = state.by_id[sid].send_endpoint
-        members = sorted(state.policies, key=canonical_rank)
+        members = sorted(self.written[index], key=canonical_rank)
         found = [policy for policy in members if permits(policy, sender, rep, mode)]
         try:
             after, verdict = send_data(state, sid, rid, rep, mode)
@@ -547,7 +567,7 @@ class KeptStates(RuleBasedStateMachine):
             return
         assert verdict.matched_policy is found[0]
         if index == len(self.states) - 1:
-            self.states.append(after)
+            self.made(after)
 
 
 TestKeptStates = KeptStates.TestCase

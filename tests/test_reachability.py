@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from flowcheck import matching, reachability
+from flowcheck import reachability
 from flowcheck import (
     Application,
     Cidr,
@@ -147,12 +147,10 @@ def test_semantic_mode_with_host_topology(ui_policy_text):
 
 
 @pytest.mark.parametrize("mode", [MatchMode.STRICT, MatchMode.SEMANTIC])
-def test_one_index_build_and_one_sort_per_endpoint(mode, monkeypatch):
+def test_one_index_build_and_one_sort_per_endpoint(mode, monkeypatch, inserted_rows):
     # 12 apps with 3 listen endpoints each, each reachable from the previous
     # app: 396 entries over 36 endpoints
-    builds, texts = [], []
-    build_table, endpoint_text = matching._build_table, reachability.canonical_endpoint_text
-    monkeypatch.setattr(matching, "_build_table", lambda *args: builds.append(args[1]) or build_table(*args))
+    texts, endpoint_text = [], reachability.canonical_endpoint_text
     monkeypatch.setattr(reachability, "canonical_endpoint_text", lambda ep: texts.append(ep) or endpoint_text(ep))
     apps, policies = [], []
     for aid in range(12):
@@ -171,5 +169,5 @@ def test_one_index_build_and_one_sort_per_endpoint(mode, monkeypatch):
     assert len(matrix.entries) == 12 * 11 * 3
     assert list(matrix.entries) == output_order(matrix)
     assert sum(verdict.allowed for verdict in matrix.entries.values()) == 12 * 3
-    assert builds == [mode]
+    assert inserted_rows.one_per_member(state.policies, mode)
     assert len(texts) == 12 * 3
