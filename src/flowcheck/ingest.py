@@ -15,10 +15,14 @@ Three input formats:
 
 All three are loaded by ``_load_yaml`` in one pass: libyaml's scanner and
 parser when PyYAML has them, its pure-Python ones otherwise, and on
-either PyYAML's own composer and the same strict constructors (no
-duplicate keys, ints of at most 64 bits).  The composer bounds collection
-nesting at ``MAX_NESTING`` levels, so a deeper file is rejected before
-any value is constructed.
+either one Python loop that builds lists and dicts straight from the
+parser's events.  Scalars load as str, null, bool, int (of at most 64
+bits), float, binary or timestamp, and collections as plain sequences and
+mappings, with merge keys.  Refused: any other tag (``!!set``, ``!!omap``,
+``!!pairs``, ``!foo``) or a tag that does not fit its node, a duplicate
+key, an alias to a collection still open, and nesting deeper than
+``MAX_NESTING`` levels, which counts through aliases: an alias adds the
+height of the value it names.
 
 Scenario and topology endpoint fields use sentinel values for
 "unconstrained" (cidr 0.0.0.0/0, namespace "-", port 0, empty label);
@@ -31,7 +35,6 @@ a /0 endpoint as "no address needed".
 from __future__ import annotations
 
 import re
-from collections.abc import Hashable
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -80,107 +83,142 @@ DEFAULT_NAMESPACE_ID = 1
 
 
 # libyaml's scanner and parser when PyYAML was built with it, the
-# pure-Python ones otherwise.  Composing and constructing run PyYAML's own
-# Python code on either, so the depth bound and the strict constructors
-# below hold on both.
+# pure-Python ones otherwise.  Values are built from the parser's events by
+# the Python code below on either, so every check here holds on both.
 _BASE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-# Deepest collection nesting a document may have, checked as each
-# collection is composed, before any value is constructed.  The composer
-# recurses once per level, and libyaml's own C composer (which no loader
-# here uses) crashes the process far below Python's recursion limit; real
-# files nest a few levels.
+# Deepest collection nesting a value may have, counting through aliases:
+# an alias adds the height of the value it names.  Real files nest a few
+# levels.
 MAX_NESTING = 100
 
-_MERGE_TAG = "tag:yaml.org,2002:merge"
-_Composer = yaml.composer.Composer
+_TAG = "tag:yaml.org,2002:"
+# scalar tags the loader's own constructors build; a str is the event's text
+_CONSTRUCTED = frozenset(_TAG + name for name in ("null", "bool", "int", "float", "binary", "timestamp"))
+_KEY = object()  # a mapping's next value is a key
+_MERGE = object()  # a "<<" key, or a scalar tagged as one
+_OPEN = object()  # an anchored collection still being built
 
 
-def _merged(loader, node, deep) -> dict:
-    """The entries a merge key (``<<: *a`` or ``<<: [*a, *b]``) brings in;
-    an earlier mapping in the list wins, as in PyYAML."""
-    sources = node.value if isinstance(node, yaml.SequenceNode) else [node]
+def _error(problem: str, mark, context=None, context_mark=None) -> yaml.MarkedYAMLError:
+    return yaml.constructor.ConstructorError(context, context_mark, problem, mark)
+
+
+def _merged(value, mark) -> dict:
+    """The entries a merge key's value (a mapping or list of mappings)
+    brings in; an earlier mapping in the list wins, as in PyYAML."""
     merged: dict = {}
-    for source in reversed(sources):
-        # each source is constructed once (the loader caches it by node),
-        # not copied node by node, so chained merges cannot grow exponentially
-        value = loader.construct_object(source, deep=deep) if isinstance(source, yaml.MappingNode) else None
-        if not isinstance(value, dict):
-            raise yaml.constructor.ConstructorError(
-                None, None, "expected a mapping or list of mappings for merging", source.start_mark
-            )
-        merged.update(value)
+    for source in reversed(value) if isinstance(value, list) else [value]:
+        if not isinstance(source, dict):
+            raise _error("expected a mapping or list of mappings for merging", mark)
+        merged.update(source)
     return merged
 
 
-def _strict_mapping(loader, node, deep=False):
-    mapping = {}
-    merged = None
-    for key_node, value_node in node.value:
-        if key_node.tag == _MERGE_TAG:
-            if merged is not None:
-                raise yaml.constructor.ConstructorError(
-                    None, None, "duplicate mapping key '<<'", key_node.start_mark
-                )
-            merged = _merged(loader, value_node, deep)
-            continue
-        key = loader.construct_object(key_node, deep=deep)
-        if not isinstance(key, Hashable):
-            raise yaml.constructor.ConstructorError(
-                None, None, "found unhashable key", key_node.start_mark
-            )
-        if key in mapping:
-            raise yaml.constructor.ConstructorError(
-                None, None, f"duplicate mapping key {key!r}", key_node.start_mark
-            )
-        mapping[key] = loader.construct_object(value_node, deep=deep)
-    # explicit keys override merged ones; only a key written twice
-    # explicitly is a duplicate
-    return mapping if merged is None else {**merged, **mapping}
-
-
-def _bounded_int(loader, node):
-    # No field takes a wider int; one past the digit limit cannot be printed.
-    value = loader.construct_yaml_int(node)
-    if value.bit_length() > 64:
-        raise yaml.constructor.ConstructorError(None, None, "integer out of range", node.start_mark)
-    return value
-
-
 def _strict_loader(base: type) -> type:
-    """A safe loader on ``base`` that bounds nesting, rejects duplicate
-    mapping keys instead of silently keeping the last one, and rejects
-    ints wider than 64 bits."""
+    """A safe loader on ``base`` that builds the one document's value from
+    the parser's events in one loop over an explicit stack of open
+    collections: no node tree, no recursion.  It rejects duplicate mapping
+    keys instead of silently keeping the last one, ints wider than 64
+    bits, any tag but the core scalar ones and plain ``!!seq``/``!!map``,
+    an alias to a collection still open, and nesting past ``MAX_NESTING``."""
 
     class Strict(base):
-        # PyYAML's composer, also over libyaml's parser events
-        compose_document = _Composer.compose_document
-        compose_scalar_node = _Composer.compose_scalar_node
-        compose_sequence_node = _Composer.compose_sequence_node
-        compose_mapping_node = _Composer.compose_mapping_node
+        def get_single_data(self):
+            anchors: dict = {}  # anchor -> (value, height, start mark)
+            resolved: dict = {}  # (text, implicit) -> tag; resolve reads nothing else
+            # per open collection: [value, anchor, start mark, height of its
+            # highest child, pending key, merged entries]; the bottom list
+            # holds the document
+            stack: list = [[[], None, None, 0, _KEY, None]]
+            root_mark = None
 
-        def get_single_node(self):
-            # CParser.__init__ never runs Composer.__init__
-            self.anchors, self.depth = {}, 0
-            return _Composer.get_single_node(self)
+            def define(anchor, value, height, mark):
+                if anchor in anchors:
+                    first = f"found duplicate anchor {anchor!r}; first occurrence"
+                    raise _error("second occurrence", mark, first, anchors[anchor][2])
+                anchors[anchor] = value, height, mark
 
-        def compose_node(self, parent, index):
-            # CParser.check_event matches exact classes, not a base class
-            if not self.check_event(yaml.SequenceStartEvent, yaml.MappingStartEvent):
-                return _Composer.compose_node(self, parent, index)
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise yaml.composer.ComposerError(
-                    None, None, f"collections nested deeper than {MAX_NESTING} levels",
-                    self.peek_event().start_mark,
-                )
-            node = _Composer.compose_node(self, parent, index)
-            self.depth -= 1
-            return node
+            while True:
+                event = self.get_event()
+                kind, mark = type(event), event.start_mark
+                if kind is yaml.ScalarEvent:
+                    value, height, tag = event.value, 0, event.tag
+                    if tag is None or tag == "!":
+                        written = value, event.implicit
+                        tag = resolved.get(written) or resolved.setdefault(
+                            written, self.resolve(yaml.ScalarNode, *written))
+                    if tag in _CONSTRUCTED:
+                        node = yaml.ScalarNode(tag, value, mark, event.end_mark)
+                        value = self.yaml_constructors[tag](self, node)
+                        # no field takes a wider int; one past the digit limit cannot be printed
+                        if tag == _TAG + "int" and value.bit_length() > 64:
+                            raise _error("integer out of range", mark)
+                    elif tag == _TAG + "merge":
+                        value = _MERGE
+                    elif tag != _TAG + "str":
+                        raise _error(f"tag {tag!r} is not allowed on a scalar", mark)
+                    if event.anchor is not None:
+                        define(event.anchor, value, 0, mark)
+                elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+                    collection = "sequence" if kind is yaml.SequenceStartEvent else "mapping"
+                    if event.tag not in (None, "!", _TAG + collection[:3]):
+                        raise _error(f"tag {event.tag!r} is not allowed on a {collection}", mark)
+                    if len(stack) > MAX_NESTING:
+                        raise _error(f"collections nested deeper than {MAX_NESTING} levels", mark)
+                    if event.anchor is not None:
+                        define(event.anchor, _OPEN, 0, mark)
+                    stack.append([[] if collection == "sequence" else {}, event.anchor, mark, 0, _KEY, None])
+                    continue
+                elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+                    value, anchor, mark, height, _, merged = stack.pop()
+                    height += 1
+                    if merged is not None:  # explicit keys override merged ones
+                        value = {**merged, **value}
+                    if anchor is not None:
+                        anchors[anchor] = value, height, mark
+                elif kind is yaml.AliasEvent:
+                    if event.anchor not in anchors:
+                        raise _error(f"found undefined alias {event.anchor!r}", mark)
+                    value, height, _ = anchors[event.anchor]
+                    if value is _OPEN:
+                        raise _error("found an alias to an enclosing collection", mark)
+                    if len(stack) - 1 + height > MAX_NESTING:
+                        raise _error(f"collections nested deeper than {MAX_NESTING} levels", mark)
+                elif kind is yaml.DocumentStartEvent:
+                    if root_mark is not None:
+                        raise _error("but found another document", mark,
+                                     "expected a single document in the stream", root_mark)
+                    root_mark = self.peek_event().start_mark
+                    continue
+                elif kind is yaml.StreamEndEvent:
+                    document = stack[0][0]
+                    return document[0] if document else None
+                else:
+                    continue
+                frame = stack[-1]
+                container, key = frame[0], frame[4]
+                if height > frame[3]:
+                    frame[3] = height
+                if value is _MERGE and (key is not _KEY or type(container) is list):
+                    raise _error(f"tag {_TAG + 'merge'!r} is not allowed on a scalar outside a mapping key", mark)
+                if type(container) is list:
+                    container.append(value)
+                elif key is _KEY:
+                    if value is _MERGE and frame[5] is not None:
+                        raise _error("duplicate mapping key '<<'", mark)
+                    if isinstance(value, (list, dict)):
+                        raise _error("found unhashable key", mark)
+                    if value in container:
+                        raise _error(f"duplicate mapping key {value!r}", mark)
+                    frame[4] = value
+                elif key is _MERGE:
+                    frame[4], frame[5] = _KEY, _merged(value, mark)
+                else:
+                    frame[4] = _KEY
+                    container[key] = value
 
     Strict.__name__ = Strict.__qualname__ = f"Strict{base.__name__}"
-    Strict.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping)
-    Strict.add_constructor("tag:yaml.org,2002:int", _bounded_int)
     return Strict
 
 
@@ -188,12 +226,10 @@ _StrictLoader = _strict_loader(_BASE_LOADER)
 
 
 def _load_yaml(text: str, what: str):
-    # Scalar constructors raise ValueError (e.g. on "2001-02-30"), and
-    # constructing a mapping recurses into aliased mappings not yet built,
-    # however shallow the text.
+    # scalar constructors raise ValueError (e.g. on "2001-02-30")
     try:
         return yaml.load(text, Loader=_StrictLoader)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         # PyYAML names a str input "<unicode string>"; name the document
         # kind instead (the caller names the file)
         if isinstance(exc, yaml.reader.ReaderError):

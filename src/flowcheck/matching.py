@@ -147,7 +147,7 @@ def _grow(lineage, mode: MatchMode) -> tuple[dict, list, dict]:
     lookup, rows, positions = table = lineage.tables.setdefault(mode, ({}, [], {}))
     for position in range(len(rows), len(lineage)):
         policy = lineage[position]
-        positions[id(policy)] = position  # a hash would walk the dataclass tree
+        positions[id(policy)] = position  # an id needs no policy hash
         sender, receiver = (spec.normalized for spec in _oriented(policy))
         shapes = (_shape(sender, mode), _shape(receiver, mode))
         keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
@@ -202,7 +202,7 @@ def explain(
     picks witnesses by.  PolicySet.copies gives each member's origins.
     Its one lookup is for the reversed flow; the rows give the rest."""
     policies = _policy_set(policies)
-    # ids: hashing a policy hashes its whole dataclass tree
+    # ids: no policy hash
     reverse = {id(policy) for policy in permitting(policies, receiver_ep, sender_ep, mode)}
     concrete = (sender_ep.normalized, receiver_ep.normalized)
     derived: tuple[dict, dict] = ({}, {})  # per side: shape -> the concrete key under it

@@ -183,7 +183,8 @@ class Policy:
     """One ordered endpoint pair mapped to a direction.
 
     Equality and hashing are structural over (pair, direction); origin is
-    provenance metadata only.
+    provenance metadata only.  The hash is computed once, when the policy
+    is built (or unpickled).
     """
 
     pair: tuple[Endpoint, Endpoint]
@@ -199,6 +200,17 @@ class Policy:
             object.__setattr__(self, "direction", Direction(self.direction))
         except ValueError:
             raise ValueError(f"direction must be 0 (ingress) or 1 (egress), got {self.direction!r}")
+        # hashed once: the dataclass hash walks both endpoints' fields on
+        # every call.  Set here, with the fields, it costs one int per
+        # policy; set on first use, it costs each policy a dict.
+        object.__setattr__(self, "_hash", hash((pair, self.direction)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: str hashes differ between processes
+        return Policy, (self.pair, self.direction, self.origin)
 
     @cached_property
     def canonical_text(self) -> str:

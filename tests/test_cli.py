@@ -411,6 +411,10 @@ MALFORMED_INPUTS = {
         "endpoints:\n  a: {label: A}\napplications:\n  - {id: 0x" + "f" * 4000 + ", send: a}\n"),
     "explain-port-past-digit-limit": (["explain", "label=x", "port=" + "9" * 5000], None),
     "scenario-deep-nesting": (["check", "--scenario"], "steps: " + "[" * 700 + "]" * 700 + "\n"),
+    # a sequence tagged as a mapping once ended in a traceback
+    "policy-map-tagged-sequence": (["reachability", "--topology", TOPOLOGY, "--policies"], "!!map [a, b]\n"),
+    "topology-map-tagged-sequence": (["reachability", "--topology"], "endpoints: !!map [a, b]\n"),
+    "scenario-map-tagged-sequence": (["check", "--scenario"], "steps: !!map [a, b]\n"),
     "policy-empty-app-label": (
         ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=Database,port=443",
          "--mode", "semantic", "--policies"], POLICY_WITH_EMPTY_APP_LABEL),
@@ -441,6 +445,17 @@ def test_malformed_input_is_config_error(args, content, tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [name for name in MALFORMED_INPUTS if name.endswith("-map-tagged-sequence")])
+def test_a_tag_that_does_not_fit_its_node_is_one_error_line(name, tmp_path, capsys):
+    args, content = MALFORMED_INPUTS[name]
+    path = tmp_path / "input.yaml"
+    path.write_text(content, encoding="utf-8")
+    assert main([*args, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("error:") == 1
+    assert "tag 'tag:yaml.org,2002:map' is not allowed on a sequence" in err
 
 
 # one bad file among good ones, in the BAD slot: its error line names it

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +137,25 @@ class TestPolicy:
         policy = Policy(pair=(Endpoint(label="a"), Endpoint(label="b")), direction=1)
         assert canonical_policy_text(policy) == canonical_policy_text(policy)
         assert '"direction":1' in canonical_policy_text(policy)
+
+    def test_a_pickled_policy_hashes_like_a_fresh_one(self):
+        # hashed, then pickled, in a process with another str hash seed: a
+        # hash cached there and sent along would differ from one made here
+        code = (
+            "import pickle, sys\n"
+            "from flowcheck import Endpoint, Policy, PolicyOrigin\n"
+            "p = Policy((Endpoint(label='a'), Endpoint(label='b')), 1, PolicyOrigin('doc', 0))\n"
+            "hash(p)\n"
+            "sys.stdout.buffer.write(pickle.dumps(p))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        sent = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60)
+        policy = pickle.loads(sent.stdout)
+        fresh = Policy(pair=(Endpoint(label="a"), Endpoint(label="b")), direction=1)
+        assert policy == fresh and policy.origin == PolicyOrigin("doc", 0)
+        assert hash(policy) == hash(fresh) and len({policy, fresh}) == 1
 
 
 class TestPolicySet:

@@ -1,12 +1,19 @@
 """The YAML load path on both loader bases: libyaml's and PyYAML's own.
 
 ``ingest._StrictLoader`` reads with libyaml's scanner and parser when
-PyYAML has them and with the pure-Python ones otherwise.  PyYAML's composer,
-with its nesting bound, and the strict constructors run on either, so the
-same documents must give the same values or be rejected by both; the edge
-cases of YAML syntax where the parsers differ are pinned in
-``KNOWN_DIFFERENCES``.  The ``strict_loader`` fixture runs ``_load_yaml``
-on each base, so the fallback stays tested on a host that has libyaml.
+PyYAML has them and with the pure-Python ones otherwise.  On either, one
+loop builds the values straight from the parser's events, with no PyYAML
+composer or ``construct_object``, so the same documents must give the
+same values or be rejected by both; the edge cases of YAML syntax where
+the parsers differ are pinned in ``KNOWN_DIFFERENCES``.  What it loads
+must equal what PyYAML's plain ``SafeLoader`` loads, and what that
+rejects it must reject too.  Scalars load under the core tags (str, null,
+bool, int of at most 64 bits, float, binary, timestamp), collections only
+as plain ``!!seq`` and ``!!map``; any other tag, a tag that does not fit
+its node, an alias to an enclosing collection and nesting past
+``MAX_NESTING`` are refused, and the nesting counts through aliases.  The
+``strict_loader`` fixture runs ``_load_yaml`` on each base, so the
+fallback stays tested on a host that has libyaml.
 """
 
 from __future__ import annotations
@@ -55,6 +62,12 @@ def test_duplicate_merge_key_rejected(strict_loader):
         strict_loader("b: &b {x: 1}\nm: {<<: *b, <<: *b}\n")
 
 
+def test_a_quoted_scalar_resolves_apart_from_the_same_plain_text(strict_loader):
+    assert strict_loader("a: 1\nb: '1'\nc: \"1\"\nd: 1\ne: ''\nf:\n") == {
+        "a": 1, "b": "1", "c": "1", "d": 1, "e": "", "f": None
+    }
+
+
 @pytest.mark.parametrize("value", [2**64 - 1, -(2**64 - 1)])
 def test_int_at_64_bits_loads(strict_loader, value):
     assert strict_loader(f"n: {value}\n") == {"n": value}
@@ -91,6 +104,66 @@ def test_each_file_is_parsed_once(strict_loader, monkeypatch):
 
     monkeypatch.setattr(yaml, "parse", no_second_parse)
     assert strict_loader("a: [1, {b: 2}]\n") == {"a": [1, {"b": 2}]}
+
+
+@pytest.mark.parametrize("text", [
+    "s: !!set {a, b}\n",
+    "o: !!omap [{a: 1}, {b: 2}]\n",
+    "p: !!pairs [{a: 1}, {a: 2}]\n",
+    "f: !foo x\n",
+    "g: !foo [x]\n",
+    "m: !!map [a, b]\n",
+    "q: !!seq {a: 1}\n",
+    "i: !!int [1]\n",
+    "v: =\n",
+], ids=["set", "omap", "pairs", "local-scalar", "local-sequence", "map-on-sequence", "seq-on-mapping",
+        "int-on-sequence", "value-tag"])
+def test_tags_other_than_the_core_ones_rejected(strict_loader, text):
+    with pytest.raises(MalformedYaml, match="is not allowed on a"):
+        strict_loader(text)
+
+
+@pytest.mark.parametrize("text", ["&a [1, *a]\n", "&a [1, [2, *a]]\n", "&m {x: *m}\n", "&m {x: [*m]}\n"])
+def test_alias_to_an_enclosing_collection_rejected(strict_loader, text):
+    with pytest.raises(MalformedYaml, match="alias to an enclosing collection"):
+        strict_loader(text)
+
+
+def test_nesting_bound_counts_through_aliases(strict_loader):
+    depth = ingest.MAX_NESTING
+    defined = "a: &x " + "[" * (depth - 1) + "]" * (depth - 1) + "\n"  # 100 levels under the document
+    assert strict_loader(defined + "b: *x\n")["b"] == strict_loader(defined)["a"]
+    with pytest.raises(MalformedYaml, match=f"nested deeper than {depth} levels"):
+        strict_loader(defined + "b: [*x]\n")  # 101
+
+
+def test_no_composer_no_constructor_no_collection_nodes(strict_loader, monkeypatch):
+    # values are built from the parser's events; only a scalar that a core
+    # constructor reads (not a str) becomes a node
+    def refuse(*args, **kwargs):
+        raise AssertionError("PyYAML's node path was used")
+
+    built_tags = []
+    scalar_node = yaml.nodes.ScalarNode.__init__
+
+    def recording(node, tag, *args, **kwargs):
+        built_tags.append(tag)
+        scalar_node(node, tag, *args, **kwargs)
+
+    monkeypatch.setattr(yaml.composer.Composer, "compose_node", refuse)
+    monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_object", refuse)
+    monkeypatch.setattr(yaml.nodes.CollectionNode, "__init__", refuse)
+    monkeypatch.setattr(yaml.nodes.ScalarNode, "__init__", recording)
+    text = "base: &b {port: 443, when: 2001-02-03}\nuse: {<<: *b, name: x, n: 7}\nlist: [*b, ~]\n"
+    value = strict_loader(text)
+    when = value["base"]["when"]
+    assert value == {
+        "base": {"port": 443, "when": when},
+        "use": {"port": 443, "when": when, "name": "x", "n": 7},
+        "list": [{"port": 443, "when": when}, None],
+    }
+    assert str(when) == "2001-02-03"
+    assert set(built_tags) == {"tag:yaml.org,2002:int", "tag:yaml.org,2002:timestamp", "tag:yaml.org,2002:null"}
 
 
 def test_alias_chain_is_config_error(strict_loader):
@@ -219,3 +292,19 @@ def test_bases_agree(items, repeat_key):
         items = [*items, items[0]]  # a duplicate key
     text = _PREAMBLE + (_render(("map", False, "", items)) if items else "")
     assert _outcome(LOADERS["CSafeLoader"], text) == _outcome(LOADERS["SafeLoader"], text), text
+
+
+# --- plain PyYAML is the oracle ---------------------------------------------
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda base: base.__name__)
+@settings(max_examples=200, deadline=None)
+@given(items=_items(_trees, max_size=5), repeat_key=st.booleans())
+def test_loads_what_plain_safe_loader_loads(base, items, repeat_key):
+    # the strict loader may refuse more, but never loads what plain
+    # PyYAML rejects, and what it loads equals what plain PyYAML loads
+    if repeat_key and items:
+        items = [*items, items[0]]
+    text = _PREAMBLE + (_render(("map", False, "", items)) if items else "")
+    strict, plain = _outcome(LOADERS[base.__name__], text), _outcome(yaml.SafeLoader, text)
+    assert strict[0] == "rejected" or strict == plain, text
