@@ -144,7 +144,7 @@ def cmd_check(args) -> int:
         for outcome in report.outcomes:
             status = "ok" if outcome.matched else "MISMATCH"
             print(
-                f"step {outcome.index} {outcome.action}: expected {outcome.expected}, "
+                f"step {outcome.index} {outcome.step.action}: expected {outcome.step.expected}, "
                 f"got {outcome.actual} [{status}] {outcome.detail}"
             )
         print(f"scenario {'PASSED' if report.passed else 'FAILED'} ({report.steps_run} steps run)")

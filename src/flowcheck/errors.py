@@ -6,6 +6,8 @@ expectations can match failures by operation and kind rather than by
 message text.
 """
 
+from functools import cached_property
+
 
 class FlowcheckError(Exception):
     """Base class for every error raised by this package."""
@@ -67,19 +69,14 @@ class PolicyViolation(ContractViolation):
     def __init__(self, message: str, policies, sender, receiver, mode):
         super().__init__(message)
         self.policies, self.sender, self.receiver, self.mode = policies, sender, receiver, mode
-        self._verdict = None
 
-    @property
+    @cached_property
     def verdict(self):
         """A denied MatchVerdict whose failed_predicates are what
         matching.explain gives for the flow."""
-        if self._verdict is None:
-            from .matching import MatchVerdict, explain  # matching imports this module
+        from .matching import MatchVerdict, explain  # matching imports this module
 
-            self._verdict = MatchVerdict(
-                failed_predicates=explain(self.policies, self.sender, self.receiver, self.mode)
-            )
-        return self._verdict
+        return MatchVerdict(failed_predicates=explain(self.policies, self.sender, self.receiver, self.mode))
 
 
 class ListenEndpointViolation(ContractViolation):

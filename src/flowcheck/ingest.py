@@ -241,8 +241,8 @@ def _load_yaml(text: str, what: str):
         raise MalformedYaml(f"{what}: {exc}") from exc
 
 
-def _require_mapping(value, where: str) -> Mapping:
-    if not isinstance(value, Mapping):
+def _require_mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
         raise MalformedYaml(f"{where} must be a mapping, got {type(value).__name__}")
     return value
 
@@ -537,7 +537,7 @@ def parse_endpoint_fields(data, where: str) -> Endpoint:
         cidr = parse_cidr(_require_str(data["cidr"], f"{where}.cidr"))
     namespace = None
     ns_value = data.get("namespace")
-    if isinstance(ns_value, Mapping):
+    if isinstance(ns_value, dict):
         _node(ns_value, {"name", "id"}, f"{where}.namespace")
         namespace = Namespace(
             _require_str(ns_value.get("name"), f"{where}.namespace.name"),

@@ -26,7 +26,9 @@ from typing import Mapping, Optional
 
 from .errors import InvalidCidrString, UnknownApplication
 
-_CIDR_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})/(\d{1,2})$")
+# ASCII digits only, and no leading zero on a number other than 0 itself
+_OCTET = r"(0|[1-9][0-9]{0,2})"
+_CIDR_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}/(0|[1-9][0-9]?)")
 
 MAX_APP_ID = 2**63 - 1
 MAX_NAMESPACE_ID = 2**31 - 1
@@ -68,7 +70,7 @@ def parse_cidr(text: str) -> Cidr:
     """Parse ``a.b.c.d/p`` notation; raises InvalidCidrString otherwise."""
     if not isinstance(text, str):
         raise InvalidCidrString(f"CIDR must be a string, got {text!r}")
-    m = _CIDR_RE.match(text.strip())
+    m = _CIDR_RE.fullmatch(text)
     if m is None:
         raise InvalidCidrString(f"not a CIDR block: {text!r}")
     blocks = [int(g) for g in m.groups()]

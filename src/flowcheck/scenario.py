@@ -10,7 +10,6 @@ unexpected one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     SenderReceiveOnly,
     SenderUnknown,
 )
-from .matching import MatchMode, evaluate, explain
+from .matching import MatchMode, evaluate
 from .model import (
     Application,
     Direction,
@@ -182,32 +181,38 @@ class ScenarioStep:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """One step run.  Its detail is its message and, for a policy denial,
-    every member's failed predicate, worked out on first read from
-    ``denied``: the policy set, endpoints and mode of the denial."""
+    """One step run: its message and the contract it broke, if any.  A
+    policy denial's detail adds every member's failed predicate, read from
+    the violation's verdict."""
 
     index: int
-    action: str
-    expected: str
-    actual: str
-    matched: bool
-    message: str = ""
-    denied: Optional[tuple] = field(default=None, repr=False)
+    step: ScenarioStep
+    message: str
+    error: Optional[ContractViolation] = None
 
-    @cached_property
+    @property
+    def actual(self) -> str:
+        return "ok" if self.error is None else f"violation:{self.error.operation}/{self.error.kind}"
+
+    @property
+    def matched(self) -> bool:
+        return self.step.expected.matches(self.error)
+
+    @property
     def detail(self) -> str:
-        if self.denied is None:
+        if not isinstance(self.error, PolicyViolation):
             return self.message
         reasons = "; ".join(
-            f"{canonical_policy_text(policy)} failed {predicate}" for policy, predicate in explain(*self.denied)
+            f"{canonical_policy_text(policy)} failed {predicate}"
+            for policy, predicate in self.error.verdict.failed_predicates
         )
         return f"{self.message} [{reasons}]" if reasons else self.message
 
     def to_dict(self) -> dict:
         return {
             "step_index": self.index,
-            "action": self.action,
-            "expected": self.expected,
+            "action": self.step.action,
+            "expected": str(self.step.expected),
             "actual": self.actual,
             "matched": self.matched,
             "detail": self.detail,
@@ -278,26 +283,12 @@ def run_scenario(
     state = new_system() if initial_state is None else initial_state
     outcomes = []
     for index, step in enumerate(steps):
-        error = denied = None
         try:
             state, message = _apply_step(state, step, mode, check_listen)
+            outcomes.append(StepOutcome(index, step, message))
         except ContractViolation as exc:
-            error, message = exc, str(exc)
-            if isinstance(exc, PolicyViolation):
-                denied = (exc.policies, exc.sender, exc.receiver, exc.mode)
-        actual = "ok" if error is None else f"violation:{error.operation}/{error.kind}"
-        matched = step.expected.matches(error)
-        outcomes.append(
-            StepOutcome(
-                index=index,
-                action=step.action,
-                expected=str(step.expected),
-                actual=actual,
-                matched=matched,
-                message=message,
-                denied=denied,
-            )
-        )
-        if not matched:
+            exc.__context__ = None  # keep no frames alive through the outcome
+            outcomes.append(StepOutcome(index, step, str(exc), exc.with_traceback(None)))
+        if not outcomes[-1].matched:
             break
     return ScenarioReport(outcomes=tuple(outcomes), final_state=state)

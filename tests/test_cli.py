@@ -372,6 +372,20 @@ spec:
 """
 
 
+# "\u0661\u0660" is 10 in Arabic-Indic digits: int() reads it, so the policy
+# once admitted 10.28.1.2
+POLICY_WITH_ARABIC_INDIC_CIDR = """\
+apiVersion: cilium.io/v2
+kind: CiliumNetworkPolicy
+metadata: {name: P, namespace: NS-UI}
+spec:
+  endpointSelector: {matchLabels: {app: WebUI}}
+  ingress:
+    - fromCIDRSet: [{cidr: "\u0661\u0660.28.1.2/32"}]
+      toPorts: [{ports: [{port: "443"}]}]
+"""
+
+
 def _policy_with_selector(match_labels: str) -> str:
     return POLICY_WITH_EMPTY_APP_LABEL.replace('{app: ""}', match_labels)
 
@@ -421,6 +435,9 @@ MALFORMED_INPUTS = {
     "policy-empty-namespace-label": (
         ["explain", "namespace=NS-UI,label=Client", "namespace=NS-UI,label=WebUI", "--policies"],
         POLICY_WITH_EMPTY_NAMESPACE_LABEL),
+    "policy-cidr-arabic-indic-digits": (
+        ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=WebUI,port=443", "--policies"],
+        POLICY_WITH_ARABIC_INDIC_CIDR),
     # "A,tier=x" would fold into the same label string as {app: A, tier: x}
     "policy-label-value-comma": (
         ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=A,port=443", "--policies"],
@@ -445,6 +462,7 @@ def test_malformed_input_is_config_error(args, content, tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("error:") == 1
 
 
 @pytest.mark.parametrize("name", [name for name in MALFORMED_INPUTS if name.endswith("-map-tagged-sequence")])

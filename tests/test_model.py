@@ -70,7 +70,13 @@ class TestCidr:
         assert parse_cidr(str(Cidr(0, 0, 0, 0, 0))) == Cidr(0, 0, 0, 0, 0)
 
     @pytest.mark.parametrize(
-        "text", ["10.28.1.2/33", "10.28.1.256/24", "10.28.1/24", "10.28.1.2", "bogus", "1.2.3.4/ 8"]
+        "text",
+        [
+            "10.28.1.2/33", "10.28.1.256/24", "10.28.1/24", "10.28.1.2", "bogus", "1.2.3.4/ 8",
+            # digits other than ASCII ones, leading zeros and surrounding whitespace
+            "\uff11\uff10.28.1.2/32", "\u0661\u0660.28.1.2/32", "10.28.1.2/\u0663\u0662",
+            "010.28.1.2/32", "10.28.1.2/08", " 10.28.1.2/32", "10.28.1.2/32\n",
+        ],
     )
     def test_parse_rejects(self, text):
         with pytest.raises(InvalidCidrString):

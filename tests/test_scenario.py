@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from flowcheck import matching, scenario
+from flowcheck import matching
 from flowcheck import (
     Cidr,
     Direction,
@@ -365,7 +365,7 @@ def counted(monkeypatch, name, *modules):
 
 class TestDeferredDenials:
     def test_running_a_script_explains_no_denial(self, monkeypatch):
-        explains = counted(monkeypatch, "explain", scenario)
+        explains = counted(monkeypatch, "explain")
         lookups = counted(monkeypatch, "permitting")
         report = run_scenario(denied_sends(3))
         assert report.passed and report.steps_run == 8
@@ -374,7 +374,7 @@ class TestDeferredDenials:
 
     def test_reading_the_details_explains_each_denial_once(self, monkeypatch):
         report = run_scenario(denied_sends(3))
-        explains = counted(monkeypatch, "explain", scenario)
+        explains = counted(monkeypatch, "explain")
         doc = report.to_dict()
         assert len(explains) == 3
         assert report.to_dict() == doc
@@ -402,6 +402,40 @@ class TestDeferredDenials:
         assert verdict.failed_predicates == explain(state.policies, CLIENT, WEBUI, MatchMode.STRICT)
         assert [predicate for _, predicate in verdict.failed_predicates] == ["sender.cidr"]
         assert denied.value.verdict is verdict
+
+    def test_a_detail_and_its_verdict_share_one_explanation(self, monkeypatch):
+        outcome = run_scenario(denied_sends(1)).outcomes[-1]
+        explains = counted(monkeypatch, "explain")
+        assert outcome.detail.startswith(str(outcome.error) + " [")
+        verdict = outcome.error.verdict
+        assert len(explains) == 1
+        assert outcome.detail.endswith(" failed sender.cidr]") and outcome.error.verdict is verdict
+        assert len(explains) == 1
+
+    def test_an_outcome_verdict_is_explained_on_the_set_it_was_decided_on(self):
+        report = run_scenario(denied_then_permitted())
+        assert report.passed and report.outcomes[-1].error is None
+        denial = report.outcomes[5].error
+        assert isinstance(denial, PolicyViolation) and len(denial.policies) == 1
+        assert denial.verdict.failed_predicates == explain(denial.policies, CLIENT, WEBUI, MatchMode.STRICT)
+        assert denial.verdict.failed_predicates != explain(
+            report.final_state.policies, CLIENT, WEBUI, MatchMode.STRICT
+        )
+
+    def test_an_outcome_keeps_no_traceback_or_context(self):
+        # a DuplicatePolicy is raised while handling PolicySet.adding's ValueError
+        steps = denied_sends(1)
+        steps[3:3] = [
+            ScenarioStep("create_endpoint", {"cidr": CLIENT.cidr}, Expectation(violation_of="CreateEndpoint")),
+            ScenarioStep("create_policy", {"first": WEBUI, "second": OTHER_CLIENT, "direction": Direction.INGRESS},
+                         Expectation(violation_of="CreatePolicy")),
+        ]
+        report = run_scenario(steps)
+        assert report.passed
+        errors = [outcome.error for outcome in report.outcomes if outcome.error is not None]
+        assert [type(error) for error in errors] == [DuplicateEndpoint, DuplicatePolicy, PolicyViolation]
+        for error in errors:
+            assert error.__traceback__ is None and error.__context__ is None
 
 
 class TestWritesHandTheirTablesOn:
