@@ -25,7 +25,6 @@ from .errors import (
     UnsupportedKind,
 )
 from .ingest import (
-    ApplicationRecord,
     CiliumPolicyDoc,
     EgressRule,
     IngressRule,

@@ -7,8 +7,8 @@ Three input formats:
   ``fromEndpoints`` / ``toPorts``, egress rules with ``toCIDRSet`` /
   ``toPorts``.  ``expand_rules`` flattens one document into single-pair
   policies, one per (rule, source, port) combination.
-* Topology YAML: named endpoints plus application records referencing
-  them, ready to deploy.
+* Topology YAML: named endpoints plus the applications that use them,
+  each parsed into the arguments of a deploy_application step.
 * Scenario YAML: a ``mode`` and a ``steps`` list; each step is one of the
   four scenario actions keyed by name, referencing endpoints and policies
   by the symbolic names earlier steps declared.
@@ -596,39 +596,35 @@ def _parse_application(entry: Mapping, where: str, endpoints: Mapping) -> dict:
 # --- topology ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApplicationRecord:
-    """Deploy-ready application description from a topology file."""
-
-    app_id: int
-    send: Endpoint
-    listen: tuple[Endpoint, ...]
-    receive_only: bool
-    name: Optional[str] = None
-
-
 def parse_topology(text: str):
-    """Parse a topology document into (named endpoints, application records)."""
+    """Parse a topology document into ``(endpoints, applications, names)``:
+    the endpoints by name, each application as the dict a scenario's
+    deploy_application step takes as its arguments, and ``{app_id: display
+    name}`` for the applications that give one.  Two names for one endpoint
+    (after sentinel normalization) or two applications with one id are
+    refused."""
     data = _node(_require_mapping(_load_yaml(text, "topology document"), "topology document"),
                  {"endpoints", "applications"}, "topology")
 
     endpoints: dict[str, Endpoint] = {}
+    first_names: dict[Endpoint, str] = {}
     for name, fields in _require_mapping(data.get("endpoints", {}), "endpoints").items():
         name = _require_str(name, "endpoint name")
-        endpoints[name] = parse_endpoint_fields(fields, f"endpoints.{name}")
+        ep = endpoints[name] = parse_endpoint_fields(fields, f"endpoints.{name}")
+        first = first_names.setdefault(ep, name)
+        if first != name:
+            raise DuplicateSymbol(f"endpoints.{name}: same endpoint as endpoints.{first}")
 
-    records: dict[int, ApplicationRecord] = {}
+    applications: dict[int, dict] = {}
+    names: dict[int, str] = {}
     for where, entry in _nodes(data.get("applications", []), _APP_KEYS | {"name"}, "applications"):
         app = _parse_application(entry, where, endpoints)
-        if app["id"] in records:
+        if app["id"] in applications:
             raise DuplicateSymbol(f"{where}: application id {app['id']} declared twice")
-        name = entry.get("name")
-        if name is not None:
-            name = _require_str(name, f"{where}.name")
-        records[app["id"]] = ApplicationRecord(
-            app["id"], app["send"], app["listen"], app["receive_only"], name
-        )
-    return endpoints, tuple(records.values())
+        applications[app["id"]] = app
+        if entry.get("name") is not None:
+            names[app["id"]] = _require_str(entry["name"], f"{where}.name")
+    return endpoints, tuple(applications.values()), names
 
 
 # --- scenario scripts --------------------------------------------------------
@@ -746,22 +742,18 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
 def assemble_state(policies: Sequence[Policy] = (), topology=None):
     """Build a system from ingested parts.
 
-    Registers topology endpoints, deploys its applications, then installs
-    the policies as one PolicySet (of structural duplicates, the copy with
-    the lowest origin is the member, whatever the input order, and every
-    copy stays listed).  Returns (state, {app_id: display name}).
+    Registers the endpoints of a ``parse_topology`` result, deploys each of
+    its applications, then installs the policies as one PolicySet (of
+    structural duplicates, the copy with the lowest origin is the member,
+    whatever the input order, and every copy stays listed).  Returns
+    (state, the topology's {app_id: display name}).
     """
     state = new_system()
     names: dict[int, str] = {}
     if topology is not None:
-        endpoints, records = topology
+        endpoints, applications, names = topology
         for ep in endpoints.values():
             state, _ = create_endpoint(state, ep.cidr, ep.namespace, ep.port, ep.label)
-        for record in records:
-            state = deploy_application(
-                state, record.app_id, record.send, record.listen, record.receive_only
-            )
-            if record.name is not None:
-                names[record.app_id] = record.name
+        for app in applications:
+            state = deploy_application(state, app["id"], app["send"], app["listen"], app["receive_only"])
     return replace(state, policies=PolicySet(policies)), names
-

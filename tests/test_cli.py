@@ -488,6 +488,11 @@ NAMED_INPUT_ERRORS = {
         "endpoints:\n  a: {label: [x\n",
         "topology document: while parsing a flow sequence",
     ),
+    "topology-endpoint-twice": (
+        ["reachability", "--topology", "BAD"],
+        "endpoints:\n  a: {cidr: 10.0.0.1/32}\n  b: {cidr: 10.0.0.1/32}\n",
+        "endpoints.b: same endpoint as endpoints.a\n",
+    ),
     "scenario": (
         ["check", "--policies", UI_POLICY, "--topology", TOPOLOGY, "--scenario", "BAD"],
         "steps:\n  - send_data: {from: 1, to: 2, endpoint: webui_https, expect: allow, via: x}\n",

@@ -282,17 +282,27 @@ spec:
 
 class TestParseTopology:
     def test_ics_topology(self, topology_text):
-        endpoints, records = parse_topology(topology_text)
+        endpoints, applications, names = parse_topology(topology_text)
         assert len(endpoints) == 9
-        assert len(records) == 8
-        by_id = {r.app_id: r for r in records}
-        assert by_id[1].name == "Client"
-        assert by_id[1].send == Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
-        assert by_id[1].listen == ()
-        assert by_id[2].listen == (
+        assert len(applications) == 8
+        by_id = {app["id"]: app for app in applications}
+        assert names[1] == "Client"
+        assert by_id[1]["send"] == Endpoint(cidr=Cidr(10, 28, 1, 2, 30))
+        assert by_id[1]["listen"] == ()
+        assert by_id[2]["listen"] == (
             Endpoint(namespace=Namespace("NS-UI", 1), port=443, label="WebUI"),
         )
-        assert by_id[8].receive_only is True
+        assert by_id[8]["receive_only"] is True
+
+    def test_application_is_a_deploy_steps_arguments(self):
+        # one entry, read as a topology application and as a scenario step
+        entry = "{id: 2, send: webui, listen: [webui_https], receive_only: true}"
+        endpoints, (application,), _ = parse_topology(
+            "endpoints:\n  webui: {namespace: NS-UI, label: WebUI}\n"
+            f"  webui_https: {{namespace: NS-UI, port: 443, label: WebUI}}\napplications: [{entry}]\n"
+        )
+        script = parse_scenario(f"steps:\n  - deploy_application: {entry}\n", symbols=endpoints)
+        assert application == script.steps[0].arguments
 
     def test_unknown_endpoint_reference(self, topology_text):
         with pytest.raises(UnknownEndpointReference):
@@ -305,6 +315,12 @@ class TestParseTopology:
     def test_unknown_keys_rejected(self):
         with pytest.raises(MalformedYaml):
             parse_topology("endpoints: {}\napplications: []\nextras: {}\n")
+
+    def test_two_names_for_one_endpoint_rejected(self):
+        # sentinel fields normalize away, so these are the same endpoint
+        text = "endpoints:\n  a: {cidr: 10.0.0.1/32, port: 0}\n  b: {cidr: 10.0.0.1/32, namespace: '-'}\n"
+        with pytest.raises(DuplicateSymbol, match=r"^endpoints\.b: same endpoint as endpoints\.a$"):
+            parse_topology(text)
 
     MERGED = """
 endpoints:
@@ -421,13 +437,13 @@ class TestParseScenario:
         assert script.steps == ()
 
     def test_predeclared_symbols_resolve(self, topology_text):
-        endpoints, _ = parse_topology(topology_text)
+        endpoints = parse_topology(topology_text)[0]
         text = "steps:\n  - send_data: {from: 1, to: 2, endpoint: webui_https}\n"
         script = parse_scenario(text, symbols=endpoints)
         assert script.steps[0].arguments["endpoint"] == endpoints["webui_https"]
 
     def test_predeclared_symbol_cannot_be_redeclared(self, topology_text):
-        endpoints, _ = parse_topology(topology_text)
+        endpoints = parse_topology(topology_text)[0]
         text = "steps:\n  - create_endpoint: {name: client, label: clash}\n"
         with pytest.raises(DuplicateSymbol):
             parse_scenario(text, symbols=endpoints)

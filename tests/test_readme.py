@@ -1,7 +1,8 @@
-"""The README's examples run as written: the library quick start, and every
-``flowcheck`` command line, in process and from the repository root; every
-``fc.<name>`` it mentions is a real attribute of the package; and the policy
-keys it lists as rejected are the ones ingest rejects."""
+"""The README's examples run as written: the library quick start, the
+topology example, and every ``flowcheck`` command line, in process and from
+the repository root; every ``fc.<name>`` it mentions is a real attribute of
+the package; and the policy keys it lists as rejected are the ones ingest
+rejects."""
 
 from __future__ import annotations
 
@@ -51,6 +52,13 @@ def test_rejected_policy_keys_are_the_widening_table():
     # the "Policy documents" paragraph names them as one backticked list
     (listed,) = re.findall(r"rejected when non-empty[^:]*:((?:\s*`\w+`,?)+)", README)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(ingest._WIDENING)
+
+
+def test_topology_example_deploys_its_named_applications():
+    (text,) = _blocks("yaml")
+    state, names = flowcheck.assemble_state((), flowcheck.parse_topology(text))
+    assert names == {1: "Client", 2: "WebUI"}
+    assert {app.app_id for app in state.applications} == {1, 2}
 
 
 def test_every_subcommand_has_an_example():
