@@ -20,8 +20,8 @@ key is the normalized fields themselves.
 Both answer from a ``PolicySet``; any other iterable is made into one
 for that call only.  The members of a set's lineage are keyed on their
 oriented pair (sender spec, receiver spec) in one table per mode, kept
-in the lineage's ``tables`` as a lookup dict, one row per member in
-canonical order and each member's join position, keyed by its id:
+in the lineage's ``tables`` as a lookup dict, one row per member in join
+order (row i is lineage member i) and each member's position, by its id:
 
     ({(sender shape, receiver shape): {(sender key, receiver key): [policies]}},
      [(policy, (sender shape, receiver shape), (sender key, receiver key), role order)],
@@ -45,7 +45,6 @@ ingress) whose key differs, at its first differing component.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -71,10 +70,10 @@ class MatchVerdict:
     """Outcome of evaluating a transfer against a policy set.
 
     A verdict is allowed exactly when it names the permitting witness in
-    matched_policy.  failed_predicates is empty from evaluate.  In the
-    verdict a PolicyViolation works out when read, it holds what explain
-    returns: one (policy, first failed predicate) entry per member of the
-    policy set, in canonical order.
+    matched_policy.  failed_predicates is empty from evaluate, whose
+    denials are all the one ``_DENIED``.  In the verdict a PolicyViolation
+    works out when read, it holds what explain returns: one (policy, first
+    failed predicate) entry per member of the policy set, in canonical order.
     """
 
     matched_policy: Optional[Policy] = None
@@ -88,6 +87,8 @@ class MatchVerdict:
     def allowed(self) -> bool:
         return self.matched_policy is not None
 
+
+_DENIED = MatchVerdict()  # every denial evaluate returns: frozen, with immutable fields, so one serves all
 
 # the key components, named as explain reports them, in the order checked
 _NAMES = {
@@ -143,7 +144,7 @@ _ROLE_ORDER = {Direction.INGRESS: (1, 0), Direction.EGRESS: (0, 1)}
 
 
 def _grow(lineage, mode: MatchMode) -> tuple[dict, list, dict]:
-    """The lineage's table for the mode, with a row for each member that joined since."""
+    """The lineage's table for the mode, with a row appended, in join order, for each member that joined since."""
     lookup, rows, positions = table = lineage.tables.setdefault(mode, ({}, [], {}))
     for position in range(len(rows), len(lineage)):
         policy = lineage[position]
@@ -152,7 +153,7 @@ def _grow(lineage, mode: MatchMode) -> tuple[dict, list, dict]:
         shapes = (_shape(sender, mode), _shape(receiver, mode))
         keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
         lookup.setdefault(shapes, {}).setdefault(keys, []).append(policy)
-        insort(rows, (policy, shapes, keys, _ROLE_ORDER[policy.direction]), key=lambda row: row[0].canonical_text)
+        rows.append((policy, shapes, keys, _ROLE_ORDER[policy.direction]))
     return table
 
 
@@ -190,7 +191,7 @@ def evaluate(
     """
     found = permitting(_policy_set(policies), sender_ep, receiver_ep, mode)
     if not found:
-        return MatchVerdict()
+        return _DENIED
     return MatchVerdict(min(found, key=canonical_policy_text))
 
 
@@ -202,16 +203,13 @@ def explain(
     picks witnesses by.  PolicySet.copies gives each member's origins.
     Its one lookup is for the reversed flow; the rows give the rest."""
     policies = _policy_set(policies)
-    # ids: no policy hash
+    # ids: no policy hash; this lookup grows the table whose rows are read below
     reverse = {id(policy) for policy in permitting(policies, receiver_ep, sender_ep, mode)}
     concrete = (sender_ep.normalized, receiver_ep.normalized)
     derived: tuple[dict, dict] = ({}, {})  # per side: shape -> the concrete key under it
     names = _FAILED[mode]
-    size, (_, rows, positions) = policies.size, policies.lineage.tables[mode]  # grown by permitting
-    if size < len(rows):  # an older set: skip the members that joined after it
-        rows = [row for row in rows if positions[id(row[0])] < size]
-    reasons = []
-    for policy, shapes, keys, order in rows:
+    reasons = []  # an older set reads only its own members' rows
+    for policy, shapes, keys, order in policies.lineage.tables[mode][1][:policies.size]:
         predicate = None  # both sides' keys equal: the member permits the flow
         for side in order:
             got = derived[side].get(shapes[side])
@@ -225,4 +223,5 @@ def explain(
                 predicate = "direction-orientation" if id(policy) in reverse else names[side][i]
                 break
         reasons.append((policy, predicate))
+    reasons.sort(key=lambda reason: reason[0].canonical_text)
     return tuple(reasons)

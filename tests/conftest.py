@@ -39,8 +39,8 @@ def scenario_texts() -> dict[str, str]:
 
 
 class InsertedRows(list):
-    """Every row ``matching`` inserts into a table, as (id of the table's
-    row list, id of the row's member), in insertion order."""
+    """Every row ``matching._grow`` appends to a table, as (id of the
+    table's row list, id of the row's member), in the order appended."""
 
     def by_table(self) -> dict[int, list[int]]:
         """The member ids inserted into each table, sorted."""
@@ -59,11 +59,13 @@ class InsertedRows(list):
 
 @pytest.fixture
 def inserted_rows(monkeypatch) -> InsertedRows:
-    inserted, insort = InsertedRows(), matching.insort
+    inserted, grow = InsertedRows(), matching._grow
 
-    def counting(rows, row, **kwargs):
-        inserted.append((id(rows), id(row[0])))
-        return insort(rows, row, **kwargs)
+    def counting(lineage, mode):
+        start = len(lineage.tables[mode][1]) if mode in lineage.tables else 0
+        table = grow(lineage, mode)
+        inserted.extend((id(table[1]), id(row[0])) for row in table[1][start:])
+        return table
 
-    monkeypatch.setattr(matching, "insort", counting)
+    monkeypatch.setattr(matching, "_grow", counting)
     return inserted

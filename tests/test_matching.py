@@ -10,12 +10,14 @@ before being frozen (10.28.1.2/30 spans .0-.3; 10.29.1.23/28 spans
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from flowcheck import matching, model
 from flowcheck import (
+    Application,
     Cidr,
     Direction,
     Endpoint,
@@ -24,10 +26,14 @@ from flowcheck import (
     Namespace,
     Policy,
     PolicySet,
+    PolicyViolation,
+    SystemState,
+    compute_reachability,
     evaluate,
     explain,
     create_policy,
     new_system,
+    send_data,
 )
 from oracles import contains_by_enumeration, contains_by_ipaddress, first_failure
 
@@ -247,6 +253,34 @@ class TestEvaluate:
             MatchVerdict(allowed=False, matched_policy=policy)
         with pytest.raises(ValueError):
             MatchVerdict(matched_policy=policy, failed_predicates=((policy, "x"),))
+
+
+class TestSharedDenial:
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_every_denial_is_one_frozen_verdict(self, mode):
+        # evaluate and compute_reachability deny with one shared verdict;
+        # a PolicyViolation explains its flow in a verdict of its own
+        policies = [Policy(pair=(COMMAND_EP, ASSET_EP), direction=Direction.EGRESS),
+                    Policy(pair=(WEBUI_EP, OTHER_CLIENT_EP), direction=Direction.INGRESS)]
+        apps = [Application(1, CLIENT_EP), Application(2, WEBUI_EP, frozenset({WEBUI_EP})),
+                Application(3, COMMAND_EP), Application(4, ASSET_EP, frozenset({ASSET_EP}))]
+        state = SystemState(applications=apps, policies=policies, endpoints={CLIENT_EP, WEBUI_EP, COMMAND_EP, ASSET_EP},
+                            app_data={app.app_id: () for app in apps})
+        verdicts = compute_reachability(state, mode).entries.values()
+        denials = [verdict for verdict in verdicts if not verdict.allowed]
+        assert len(denials) == len(verdicts) - 1
+        denials += [evaluate(state.policies, CLIENT_EP, WEBUI_EP, mode), evaluate(policies, WEBUI_EP, CLIENT_EP, mode),
+                    evaluate([], CLIENT_EP, WEBUI_EP, mode)]
+        shared = denials[0]
+        assert all(denial is shared for denial in denials) and shared == MatchVerdict()
+        for name, value in (("matched_policy", policies[0]), ("failed_predicates", ((policies[0], "x"),))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(shared, name, value)
+        with pytest.raises(PolicyViolation) as caught:
+            send_data(state, 1, 2, WEBUI_EP, mode)
+        reasons = explain(state.policies, CLIENT_EP, WEBUI_EP, mode)
+        assert len(reasons) == 2 and caught.value.verdict.failed_predicates == reasons
+        assert caught.value.verdict is not shared and shared == MatchVerdict()
 
 
 class TestExplain:

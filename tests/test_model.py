@@ -190,8 +190,7 @@ class TestPolicySet:
             ]
             ranked = [(p, p.origin) for p in sorted(policies, key=canonical_policy_text)]
             for mode in MatchMode:
-                evaluate(policies, self.EP_A, self.EP_B, mode)  # builds the mode's table
-                assert [(row[0], row[0].origin) for row in policies.lineage.tables[mode][1]] == ranked
+                assert [(p, p.origin) for p, _ in explain(policies, self.EP_A, self.EP_B, mode)] == ranked
 
     def test_set_protocol(self):
         a, b = self.copies_of(self.A_FROM_B, PolicyOrigin("d", 1), PolicyOrigin("d", 0))

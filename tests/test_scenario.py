@@ -458,3 +458,18 @@ class TestWritesHandTheirTablesOn:
         assert len(report.final_state.policies) == 22
         report.to_dict()  # explains each denial on the older set it was decided on
         assert inserted_rows.one_per_member(report.final_state.policies, mode)
+
+    @pytest.mark.parametrize("mode", [MatchMode.STRICT, MatchMode.SEMANTIC])
+    def test_writes_and_denied_sends_compute_no_canonical_text(self, mode):
+        # growing a table reads no canonical order: 2 rounds of 10 library
+        # writes and a denied send leave every member's text uncomputed
+        state, client = create_endpoint(new_system(), Cidr(10, 28, 1, 2, 32))
+        state, webui = create_endpoint(state, namespace=Namespace("NS-UI", 1), port=443, label="WebUI")
+        state = deploy_application(deploy_application(state, 1, client), 2, webui, {webui})
+        for i in range(20):
+            state, _ = create_policy(state, webui, Endpoint(cidr=Cidr(10, 28, 2, 4 * i, 30)), Direction.INGRESS)
+            if i % 10 == 9:
+                with pytest.raises(PolicyViolation):
+                    send_data(state, 1, 2, webui, mode)
+        assert len(state.policies) == 20
+        assert all("canonical_text" not in vars(policy) for policy in state.policies)
