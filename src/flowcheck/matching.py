@@ -20,17 +20,17 @@ key is the normalized fields themselves.
 Both answer from a ``PolicySet``; any other iterable is made into one
 for that call only.  The members of a set's lineage are keyed on their
 oriented pair (sender spec, receiver spec) in one table per mode, kept
-in the lineage's ``tables`` as a lookup dict, one row per member in join
-order (row i is lineage member i) and each member's position, by its id:
+in the lineage's ``tables`` as a lookup dict and one row per member in
+join order (row i is lineage member i):
 
     ({(sender shape, receiver shape): {(sender key, receiver key): [policies]}},
-     [(policy, (sender shape, receiver shape), (sender key, receiver key), role order)],
-     {id(policy): position})
+     [((sender shape, receiver shape), (sender key, receiver key))])
 
 A query first gives its table a row for each member that joined the
 lineage since it was last read (``_grow``): each member gets one row per
 mode, ever, and a policy write touches no table.  An older set leaves out
-the hits and rows of members that joined past its length.
+the hits of members that joined past its length (by their position in
+the lineage's ``joined``) and reads only its own members' rows.
 
 A lookup derives the concrete pair's keys under each shape pair the set
 holds, so every hit permits the flow.  Strict mode has the one shape pair
@@ -143,17 +143,15 @@ _FAILED = {
 _ROLE_ORDER = {Direction.INGRESS: (1, 0), Direction.EGRESS: (0, 1)}
 
 
-def _grow(lineage, mode: MatchMode) -> tuple[dict, list, dict]:
+def _grow(lineage, mode: MatchMode) -> tuple[dict, list]:
     """The lineage's table for the mode, with a row appended, in join order, for each member that joined since."""
-    lookup, rows, positions = table = lineage.tables.setdefault(mode, ({}, [], {}))
-    for position in range(len(rows), len(lineage)):
-        policy = lineage[position]
-        positions[id(policy)] = position  # an id needs no policy hash
+    lookup, rows = table = lineage.tables.setdefault(mode, ({}, []))
+    for policy in lineage[len(rows):]:
         sender, receiver = (spec.normalized for spec in _oriented(policy))
         shapes = (_shape(sender, mode), _shape(receiver, mode))
         keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
         lookup.setdefault(shapes, {}).setdefault(keys, []).append(policy)
-        rows.append((policy, shapes, keys, _ROLE_ORDER[policy.direction]))
+        rows.append((shapes, keys))
     return table
 
 
@@ -173,9 +171,9 @@ def permitting(policies: PolicySet, sender_ep: Endpoint, receiver_ep: Endpoint, 
     found = []
     for (sender_shape, receiver_shape), keyed in table[0].items():
         found += keyed.get((_key(sender_shape, sender), _key(receiver_shape, receiver)), ())
-    # an older set drops the members that joined after it (a lookup seldom hits more than one)
-    if found and policies.size < len(lineage) and (len(found) > 1 or table[2][id(found[0])] >= policies.size):
-        found = [policy for policy in found if table[2][id(policy)] < policies.size]
+    if found and policies.size < len(lineage):  # an older set drops the members that joined after it
+        joined = lineage.joined
+        found = [policy for policy in found if joined[policy][0] < policies.size]
     return found
 
 
@@ -203,15 +201,14 @@ def explain(
     picks witnesses by.  PolicySet.copies gives each member's origins.
     Its one lookup is for the reversed flow; the rows give the rest."""
     policies = _policy_set(policies)
-    # ids: no policy hash; this lookup grows the table whose rows are read below
-    reverse = {id(policy) for policy in permitting(policies, receiver_ep, sender_ep, mode)}
+    reverse = set(permitting(policies, receiver_ep, sender_ep, mode))  # grows the table read below
     concrete = (sender_ep.normalized, receiver_ep.normalized)
     derived: tuple[dict, dict] = ({}, {})  # per side: shape -> the concrete key under it
     names = _FAILED[mode]
-    reasons = []  # an older set reads only its own members' rows
-    for policy, shapes, keys, order in policies.lineage.tables[mode][1][:policies.size]:
+    reasons = []  # row i is member i, and an older set iterates only its own members
+    for policy, (shapes, keys) in zip(policies, policies.lineage.tables[mode][1]):
         predicate = None  # both sides' keys equal: the member permits the flow
-        for side in order:
+        for side in _ROLE_ORDER[policy.direction]:
             got = derived[side].get(shapes[side])
             if got is None:
                 got = derived[side][shapes[side]] = _key(shapes[side], concrete[side])
@@ -220,7 +217,7 @@ def explain(
                 i = 0
                 while want[i] == got[i]:
                     i += 1
-                predicate = "direction-orientation" if id(policy) in reverse else names[side][i]
+                predicate = "direction-orientation" if policy in reverse else names[side][i]
                 break
         reasons.append((policy, predicate))
     reasons.sort(key=lambda reason: reason[0].canonical_text)

@@ -228,8 +228,8 @@ class Policy:
 
 class _Lineage(list):
     """Members in join order, shared by a set and the sets its writes
-    derive.  ``joined`` maps each to its position and copies; ``tables``
-    is ``matching``'s, one per mode."""
+    derive.  ``joined`` maps exactly these members, each to its position
+    and copies; ``tables`` is ``matching``'s, one per mode."""
 
     def __init__(self, members: Iterable[Policy] = (), joined: Optional[dict] = None):
         super().__init__(members)
@@ -251,7 +251,9 @@ class PolicySet(Set):
     A set is the first ``size`` (its ``len``) members of an append-only
     ``lineage`` and its tables, shared with the sets its writes derive:
     ``adding`` on the lineage's newest set appends the policy, and on an
-    older set starts a new lineage from this set's members.
+    older set starts a new lineage from this set's members.  A lineage's
+    ``joined`` holds exactly its members, so a policy is in the set iff
+    it joined at a position below ``size``.
     """
 
     def __init__(self, policies: Iterable[Policy] = ()):
@@ -270,8 +272,8 @@ class PolicySet(Set):
         derived = object.__new__(PolicySet)
         derived.lineage, derived.size = self.lineage, self.size + 1
         if self.size < len(self.lineage):
-            # a dict copy computes no hash; later members' entries fail __contains__'s position test
-            derived.lineage = _Lineage(self.lineage[:self.size], self.lineage.joined.copy())
+            joined = self.lineage.joined  # the new lineage's joined holds this set's members alone
+            derived.lineage = _Lineage(self, {member: joined[member] for member in self})
         derived.lineage.join((policy,))
         return derived
 
@@ -283,7 +285,7 @@ class PolicySet(Set):
 
     def __contains__(self, policy) -> bool:
         joined = self.lineage.joined.get(policy)
-        return joined is not None and joined[0] < self.size and self.lineage[joined[0]] is joined[1][0]
+        return joined is not None and joined[0] < self.size
 
     def __iter__(self):
         return islice(self.lineage, self.size)

@@ -64,7 +64,8 @@ def inserted_rows(monkeypatch) -> InsertedRows:
     def counting(lineage, mode):
         start = len(lineage.tables[mode][1]) if mode in lineage.tables else 0
         table = grow(lineage, mode)
-        inserted.extend((id(table[1]), id(row[0])) for row in table[1][start:])
+        # row i is lineage member i: the rows appended are those of the members past start
+        inserted.extend((id(table[1]), id(member)) for member in lineage[start:len(table[1])])
         return table
 
     monkeypatch.setattr(matching, "_grow", counting)

@@ -378,6 +378,25 @@ class TestIndexFreshness:
         assert inserted_rows.one_per_member(second.policies, mode)
 
     @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
+    def test_older_sets_leave_out_later_hits_in_a_shared_bucket(self, mode):
+        # both policies orient (CLIENT_EP, WEBUI_EP), so one bucket holds them;
+        # the egress one joined after both older sets' lengths
+        egress = Policy(pair=(CLIENT_EP, WEBUI_EP), direction=Direction.EGRESS)
+        oldest = PolicySet([self.COMMAND_TO_ASSET])
+        old = oldest.adding(self.WEBUI_FROM_CLIENT)
+        newest = old.adding(egress)
+        assert matching.permitting(newest, CLIENT_EP, WEBUI_EP, mode) == [self.WEBUI_FROM_CLIENT, egress]
+        flows = [(CLIENT_EP, WEBUI_EP), (WEBUI_EP, CLIENT_EP), (COMMAND_EP, ASSET_EP)]
+        for older in (oldest, old):
+            rebuilt = PolicySet(list(older))
+            for flow in flows:
+                assert matching.permitting(older, *flow, mode) == matching.permitting(rebuilt, *flow, mode)
+                assert evaluate(older, *flow, mode) == evaluate(rebuilt, *flow, mode)
+                assert explain(older, *flow, mode) == explain(rebuilt, *flow, mode)
+        assert matching.permitting(old, CLIENT_EP, WEBUI_EP, mode) == [self.WEBUI_FROM_CLIENT]
+        assert dict(explain(old, WEBUI_EP, CLIENT_EP, mode))[self.WEBUI_FROM_CLIENT] == "direction-orientation"
+
+    @pytest.mark.parametrize("mode", [STRICT, SEMANTIC])
     def test_mutated_list_never_answered_stale(self, mode):
         policies = [self.COMMAND_TO_ASSET]
         assert not evaluate(policies, CLIENT_EP, WEBUI_EP, mode).allowed

@@ -229,10 +229,8 @@ class TestPolicySet:
         for mode in MatchMode:
             evaluate(new, self.EP_A, self.EP_B, mode)
             evaluate(rebuilt, self.EP_A, self.EP_B, mode)
-            (lookup, rows, positions), (fresh_lookup, fresh_rows, fresh_positions) = (
-                new.lineage.tables[mode], rebuilt.lineage.tables[mode])
-            assert len(rows) == len(fresh_rows) == 3 and positions == fresh_positions
-            assert all(row[0] is fresh[0] and row[1:] == fresh[1:] for row, fresh in zip(rows, fresh_rows))
+            (lookup, rows), (fresh_lookup, fresh_rows) = new.lineage.tables[mode], rebuilt.lineage.tables[mode]
+            assert len(rows) == 3 and rows == fresh_rows
             assert buckets(lookup) == buckets(fresh_lookup)
         assert evaluate(new, self.EP_A, self.EP_B, MatchMode.STRICT).allowed
         assert state.policies is old and list(old) == [self.A_FROM_B, wide_to_a] and policy not in old
@@ -266,6 +264,23 @@ class TestPolicySet:
             assert [evaluate(policies, *flow, mode).allowed for policies in (old, newest, branch)
                     for flow in (to_b, to_block)] == [False, False, True, False, False, True]
         assert branch.adding(self.B_FROM_A).lineage is branch.lineage
+
+    def test_a_branch_lineage_joins_only_its_own_members(self):
+        # the original lineage grows past the older set, then the branch from
+        # that set grows past the branch point: the positions overlap
+        a, b = self.copies_of(self.A_FROM_B, PolicyOrigin("d", 1), PolicyOrigin("d", 0))
+        later = [Policy(pair=(self.EP_A, Endpoint(port=port)), direction=Direction.EGRESS) for port in (1, 2)]
+        own = [Policy(pair=(self.EP_B, Endpoint(port=port)), direction=Direction.EGRESS) for port in (3, 4)]
+        old = PolicySet([a, b])
+        newest = old.adding(later[0]).adding(later[1])
+        branch = old.adding(own[0]).adding(own[1])
+        assert list(newest) == [b, *later] and list(branch) == [b, *own]
+        assert branch.lineage.joined == {b: (0, (b, a)), own[0]: (1, (own[0],)), own[1]: (2, (own[1],))}
+        for policy in later:
+            assert policy not in branch
+            with pytest.raises(KeyError):
+                branch.copies(policy)
+        assert all(policy in newest and policy not in old for policy in later)
 
 
 class TestSystemState:

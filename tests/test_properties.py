@@ -489,8 +489,8 @@ class KeptStates(RuleBasedStateMachine):
     explain every flow as the literal oracle does over the policies that
     state was written with: an older set leaves out the members that
     joined its lineage after it, a write on an older set starts a new
-    lineage that the other branch never sees, and the rows a write
-    inserts keep the canonical order."""
+    lineage that the other branch never sees, and explain names each
+    state's members in canonical order."""
 
     def __init__(self):
         super().__init__()
