@@ -65,7 +65,7 @@ class MatchMode(Enum):
     __hash__ = object.__hash__  # every query looks its table up by mode; Enum hashes the name in Python
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchVerdict:
     """Outcome of evaluating a transfer against a policy set.
 
@@ -80,7 +80,7 @@ class MatchVerdict:
     failed_predicates: tuple[tuple[Policy, str], ...] = ()
 
     def __post_init__(self):
-        if self.allowed and self.failed_predicates:
+        if self.failed_predicates and self.allowed:
             raise ValueError("allowed verdict must carry no failed predicates")
 
     @property
@@ -190,7 +190,7 @@ def evaluate(
     found = permitting(_policy_set(policies), sender_ep, receiver_ep, mode)
     if not found:
         return _DENIED
-    return MatchVerdict(min(found, key=canonical_policy_text))
+    return MatchVerdict(found[0] if len(found) == 1 else min(found, key=canonical_policy_text))
 
 
 def explain(
