@@ -6,11 +6,13 @@ flows in both modes, among them denials that answer
 ``direction-orientation``.  Each case runs on both YAML loader bases:
 libyaml's parser when PyYAML has it, and PyYAML's own.  The scenarios use
 /30 and /28 client blocks, which semantic mode refuses, so their checks
-run in strict mode only.
+run in strict mode, and ``ERROR_CASES`` records that refusal and the
+other answers on standard error: warnings for unknown policy keys, input
+errors and command lines in the wrong order.
 
-``tests/data/cli_golden.json`` holds each case's command line, exit code
-and standard output.  After a deliberate change to the output, rewrite it
-from the repository root with::
+``tests/data/cli_golden.json`` holds each case's command line, exit code,
+standard output and standard error.  After a deliberate change to the
+output, rewrite it from the repository root with::
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 """
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -54,6 +57,23 @@ FLOWS = {
     "semantic:asset-command-reversed": ("cidr=10.29.1.20/32,port=5443", "namespace=NS-Command,label=Command"),
 }
 
+UI_FLOW = ("cidr=10.28.1.2/32", "namespace=NS-UI,label=WebUI,port=443")
+ERROR_CASES = {
+    "reachability semantic block refusal": ["reachability", *POLICIES, *TOPOLOGY, "--mode", "semantic"],
+    "check ics_flows semantic block refusal": [
+        "check", *POLICIES, *TOPOLOGY, "--scenario", "data/scenarios/ics_flows.yaml", "--mode", "semantic",
+    ],
+    "explain unknown-key warnings": [
+        "explain", *UI_FLOW, "--policies", "tests/data/noisy-policy.yaml", "--mode", "semantic",
+    ],
+    "explain egress toEndpoints": ["explain", *UI_FLOW, "--policies", "tests/data/egress-to-endpoints.yaml"],
+    "explain specs after --policies": ["explain", "--policies", "data/policies/ui-policy.yaml", *UI_FLOW],
+    "check semantic policy-peer block": [
+        "check", "--topology", "tests/data/policy-peer-block-topology.yaml",
+        "--scenario", "tests/data/policy-peer-block-scenario.yaml",
+    ],
+}
+
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
@@ -66,7 +86,7 @@ def _cases() -> dict[str, list[str]]:
             mode = "semantic" if name.startswith("semantic:") else "strict"
             cases[f"explain {name} {fmt}"] = ["explain", sender, receiver, *POLICIES, "--mode", mode, "--format", fmt]
         cases[f"reachability strict {fmt}"] = ["reachability", *POLICIES, *TOPOLOGY, "--format", fmt]
-    return cases
+    return cases | ERROR_CASES
 
 
 CASES = _cases()
@@ -81,11 +101,16 @@ def golden() -> dict:
 
 
 def run(argv: list[str]) -> dict:
-    """The case's command line, exit code and standard output, run in process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    """The case's command line, exit code, standard output and standard
+    error, run in process; argparse's own errors exit through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps its usage text to the terminal's width
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def test_every_scenario_is_covered():
