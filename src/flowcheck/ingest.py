@@ -35,7 +35,7 @@ a /0 endpoint as "no address needed".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import yaml
@@ -64,6 +64,7 @@ from .model import (
     new_system,
     normalize_fields,
     parse_cidr,
+    replace_validated,
 )
 from .scenario import (
     EXPECT_OK,
@@ -756,4 +757,4 @@ def assemble_state(policies: Sequence[Policy] = (), topology=None):
             state, _ = create_endpoint(state, ep.cidr, ep.namespace, ep.port, ep.label)
         for app in applications:
             state = deploy_application(state, app["id"], app["send"], app["listen"], app["receive_only"])
-    return replace(state, policies=PolicySet(policies)), names
+    return replace_validated(state, policies=PolicySet(policies)), names

@@ -334,7 +334,8 @@ class SystemState:
     Immutable; operations produce new states.  policies is a PolicySet
     (any other iterable is made into one).  app_data holds one log per
     application, ``()`` unless given: the messages it has received, in
-    order.  by_id maps each app_id to its application.
+    order.  by_id maps each app_id to its application.  Validated once,
+    here: the operations derive the next state with ``replace_validated``.
     """
 
     applications: frozenset[Application] = frozenset()
@@ -361,18 +362,12 @@ class SystemState:
         object.__setattr__(self, "app_data", logs)
 
 
-_VALIDATED = {"policies": PolicySet, "endpoints": frozenset}
-
-
 def replace_validated(state: SystemState, **fields) -> SystemState:
-    """``dataclasses.replace(state, **fields)`` for ``policies`` (a
-    PolicySet) and ``endpoints`` (a frozenset) given as the types
-    ``__post_init__`` makes them.  Neither field feeds another, so the
-    state's other fields, already validated, are copied as they are
-    instead of being derived again (``by_id`` and the logs cost about as
-    much as the rest of a policy write)."""
-    if not all(isinstance(value, _VALIDATED.get(name, ())) for name, value in fields.items()):
-        raise TypeError(f"not a validated policies or endpoints value: {sorted(fields)}")
+    """``state`` with ``fields`` replaced by values in the form
+    ``__post_init__`` gives them; the other fields are copied as they are.
+    The operations' preconditions keep the invariant: a new application
+    brings an unused id, its ``by_id`` entry and an empty log, and a
+    message joins an existing log."""
     derived = object.__new__(SystemState)
     vars(derived).update(vars(state), **fields)
     return derived

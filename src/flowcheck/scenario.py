@@ -9,7 +9,7 @@ unexpected one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -89,7 +89,8 @@ def deploy_application(
         listen_endpoints=frozenset(listen_endpoints),
         receive_only=receive_only,
     )
-    return replace(state, applications=state.applications | {app})
+    by_id, app_data = state.by_id | {aid: app}, state.app_data | {aid: ()}
+    return replace_validated(state, applications=state.applications | {app}, by_id=by_id, app_data=app_data)
 
 
 def send_data(state, sid: int, rid: int, rep: Endpoint, mode=MatchMode.STRICT, check_listen=False):
@@ -134,9 +135,7 @@ def transfer_data(
         raise ListenEndpointViolation(
             f"application {rapp} does not listen on {describe_endpoint(rep)}"
         )
-    app_data = dict(state.app_data)
-    app_data[rapp] = app_data[rapp] + (msg,)
-    return replace(state, app_data=app_data), verdict
+    return replace_validated(state, app_data=state.app_data | {rapp: state.app_data[rapp] + (msg,)}), verdict
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from flowcheck import (
     UnknownApplication,
     canonical_policy_text,
     create_policy,
+    deploy_application,
     evaluate,
     explain,
     get_application,
@@ -35,7 +36,6 @@ from flowcheck import (
     parse_cidr,
     send_data,
 )
-from flowcheck.model import replace_validated
 from flowcheck.errors import InvalidCidrString
 
 
@@ -328,14 +328,18 @@ class TestSystemState:
     def test_a_write_copies_the_fields_it_leaves(self):
         ep1, ep2 = Endpoint(label="a"), Endpoint(label="b")
         a1 = Application(app_id=1, send_endpoint=ep1)
-        state = SystemState(applications={a1}, endpoints={ep1})
+        state = SystemState(applications={a1}, endpoints={ep1, ep2})
         written, _ = create_policy(state, ep1, ep2, Direction.EGRESS)
         assert written.by_id is state.by_id and written.app_data is state.app_data
         assert written.endpoints is state.endpoints and written.applications is state.applications
-        assert written == SystemState(applications={a1}, policies=written.policies, endpoints={ep1})
-        for fields in ({"policies": frozenset()}, {"endpoints": {ep2}}, {"applications": frozenset()}):
-            with pytest.raises(TypeError):
-                replace_validated(state, **fields)
+        assert written == SystemState(applications={a1}, policies=written.policies, endpoints={ep1, ep2})
+        deployed = deploy_application(written, 2, ep2, {ep2})
+        assert deployed.policies is written.policies and deployed.endpoints is written.endpoints
+        assert deployed.by_id[1] is a1 and deployed.app_data == {1: (), 2: ()}
+        sent, _ = send_data(deployed, 1, 2, ep2)
+        assert sent.applications is deployed.applications and sent.by_id is deployed.by_id
+        assert sent.policies is deployed.policies and sent.endpoints is deployed.endpoints
+        assert sent.app_data[1] is deployed.app_data[1] and len(sent.app_data[2]) == 1
 
     def test_get_application(self):
         a1 = Application(app_id=1, send_endpoint=Endpoint(label="a"))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 import yaml
 from hypothesis import assume, given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from flowcheck import (
     Application,
@@ -21,6 +21,7 @@ from flowcheck import (
     Endpoint,
     Expectation,
     MatchMode,
+    Message,
     Namespace,
     Policy,
     PolicyOrigin,
@@ -406,13 +407,35 @@ class TestCanonicalText:
 
 
 class SystemOperations(RuleBasedStateMachine):
-    """Random operation sequences keep the system-state invariants."""
+    """Random operation sequences keep the system-state invariants, from
+    ``new_system()`` or from a state built with ``SystemState(...)``, and
+    through refused writes and denied or refused sends: every state the
+    operations derive equals the one ``SystemState`` builds from its
+    fields, so the operations keep the invariant its construction checks."""
 
     def __init__(self):
         super().__init__()
         self.state = new_system()
         self.known_endpoints: list[Endpoint] = []
         self.allowed_transfers = 0
+
+    @initialize(data=st.data(), built=st.booleans())
+    def start(self, data, built):
+        if not built:
+            return
+        endpoints = data.draw(st.lists(endpoint_st, min_size=1, max_size=4, unique=True))
+        from_endpoints = st.sampled_from(endpoints)
+        applications = [
+            Application(aid, data.draw(from_endpoints), data.draw(st.sets(from_endpoints, max_size=2)))
+            for aid in data.draw(st.sets(st.integers(1, 5), max_size=3))
+        ]
+        policies = data.draw(st.lists(
+            st.builds(Policy, pair=st.tuples(from_endpoints, from_endpoints), direction=direction_st), max_size=4
+        ))
+        logs = {app.app_id: (Message(),) for app in applications[:1]}
+        self.state = SystemState(applications, policies, endpoints, logs)
+        self.known_endpoints = endpoints
+        self.allowed_transfers = len(logs)
 
     @rule(data=st.data())
     def add_endpoint(self, data):
@@ -451,9 +474,9 @@ class SystemOperations(RuleBasedStateMachine):
     @precondition(lambda self: self.state.applications and self.known_endpoints)
     @rule(data=st.data())
     def send(self, data):
-        apps = sorted(self.state.applications, key=lambda a: a.app_id)
-        sid = data.draw(st.sampled_from([a.app_id for a in apps]))
-        rid = data.draw(st.sampled_from([a.app_id for a in apps]))
+        # id 6 is never deployed: an unknown sender or receiver is refused
+        ids = st.sampled_from(sorted(self.state.by_id)) | st.just(6)
+        sid, rid = data.draw(ids), data.draw(ids)
         rep = data.draw(st.sampled_from(self.known_endpoints))
         try:
             self.state, verdict = send_data(self.state, sid, rid, rep)
@@ -463,14 +486,16 @@ class SystemOperations(RuleBasedStateMachine):
             pass
 
     @invariant()
+    def state_is_what_its_fields_build(self):
+        state = self.state
+        assert state == SystemState(state.applications, state.policies, state.endpoints, state.app_data)
+        assert state.by_id == {app.app_id: app for app in state.applications}
+        assert set(state.app_data) == set(state.by_id)
+
+    @invariant()
     def app_ids_unique(self):
         ids = [a.app_id for a in self.state.applications]
         assert len(ids) == len(set(ids))
-
-    @invariant()
-    def app_data_keys_are_deployed_apps(self):
-        ids = {a.app_id for a in self.state.applications}
-        assert set(self.state.app_data) == ids
 
     @invariant()
     def log_growth_matches_allowed_transfers(self):
