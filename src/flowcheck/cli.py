@@ -110,7 +110,8 @@ def parse_endpoint_spec(spec: str) -> Endpoint:
 
 def _ensure_host_cidrs(endpoints, what: str) -> None:
     """Semantic mode matches a single concrete address against policy
-    blocks, so application and target endpoints must be /32 hosts."""
+    blocks, so application and target endpoints must be /32 hosts; an
+    endpoint only policies name may be a block."""
     bad = sorted(
         (ep for ep in endpoints if ep.cidr is not None and ep.cidr.sig_bits != 32),
         key=canonical_endpoint_text,
@@ -122,6 +123,11 @@ def _ensure_host_cidrs(endpoints, what: str) -> None:
         )
 
 
+def _application_endpoints(topology) -> set[Endpoint]:
+    """The endpoints a ``parse_topology`` result's applications send and listen on."""
+    return {ep for app in topology[1] for ep in (app["send"], *app["listen"])}
+
+
 def cmd_check(args) -> int:
     policies = _load_policies(args.policies)
     topology = None if args.topology is None else _load(args.topology, parse_topology)
@@ -131,7 +137,7 @@ def cmd_check(args) -> int:
     if mode is MatchMode.SEMANTIC:
         _ensure_host_cidrs(script.concrete_endpoints(), "scenario application/target endpoints")
         if topology is not None:
-            _ensure_host_cidrs(topology[0].values(), "topology endpoints")
+            _ensure_host_cidrs(_application_endpoints(topology), "topology endpoints")
     state, _ = assemble_state(policies, topology)
     report = run_scenario(
         script.steps, mode=mode, initial_state=state, check_listen=args.check_listen
@@ -156,7 +162,7 @@ def cmd_reachability(args) -> int:
     topology = _load(args.topology, parse_topology)
     mode = MatchMode(args.mode) if args.mode else MatchMode.STRICT
     if mode is MatchMode.SEMANTIC:
-        _ensure_host_cidrs(topology[0].values(), "topology endpoints")
+        _ensure_host_cidrs(_application_endpoints(topology), "topology endpoints")
     state, names = assemble_state(policies, topology)
     matrix = compute_reachability(state, mode)
 
@@ -206,6 +212,11 @@ def cmd_reachability(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if args.receiver is None:  # --policies took the specs as files
+        raise FlowcheckError(
+            "explain needs a sender and a receiver endpoint spec: give them before --policies or after --, "
+            "since --policies reads every argument up to the next option as a file"
+        )
     policies = PolicySet(_load_policies(args.policies))
     sender = parse_endpoint_spec(args.sender)
     receiver = parse_endpoint_spec(args.receiver)
@@ -282,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser("explain", help="explain one flow decision per policy")
     add_common(explain, topology_required=None)
-    explain.add_argument("sender", help="sender endpoint spec, e.g. cidr=10.28.1.2/32")
-    explain.add_argument("receiver", help="receiver endpoint spec, e.g. namespace=NS-UI,label=WebUI,port=443")
+    # optional to argparse, so that cmd_explain can say where the specs go
+    explain.add_argument("sender", nargs="?", help="sender endpoint spec, e.g. cidr=10.28.1.2/32 (required)")
+    explain.add_argument("receiver", nargs="?",
+                         help="receiver endpoint spec, e.g. namespace=NS-UI,label=WebUI,port=443 (required)")
     explain.set_defaults(func=cmd_explain)
     return parser
 

@@ -407,6 +407,8 @@ def _parse_ingress_rule(rule: Mapping, where: str, warnings: list) -> IngressRul
 
 
 def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> EgressRule:
+    if "toCIDRSet" not in rule and "toEndpoints" in rule:
+        raise MalformedYaml(f"{where}: 'toEndpoints' (egress to pods) is not modeled; egress needs 'toCIDRSet'")
     to_cidrs = _parse_cidr_set(_require_key(rule, "toCIDRSet", where), f"{where}.toCIDRSet", warnings)
     if not to_cidrs:
         raise MalformedYaml(f"{where}: toCIDRSet must not be empty")

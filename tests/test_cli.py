@@ -29,6 +29,8 @@ CLIENT_FLOW_DENIED = str(DATA / "scenarios" / "client_to_webui_denied.yaml")
 COMMAND_FLOW = str(DATA / "scenarios" / "command_to_asset.yaml")
 COMMAND_FLOW_DENIED = str(DATA / "scenarios" / "command_to_asset_denied.yaml")
 UI_CHECK = str(DATA / "scenarios" / "ui_policy_check.yaml")
+PEER_BLOCK_TOPOLOGY = str(REPO / "tests" / "data" / "policy-peer-block-topology.yaml")
+PEER_BLOCK_SCENARIO = str(REPO / "tests" / "data" / "policy-peer-block-scenario.yaml")
 
 BAD_CLIENT_SCENARIO = """\
 mode: strict
@@ -133,6 +135,12 @@ class TestCheck:
         code = main(["check", "--scenario", CLIENT_FLOW, "--mode", "semantic"])
         assert code == 2
         assert "/32" in capsys.readouterr().err
+
+    def test_semantic_mode_accepts_a_block_only_policies_name(self, capsys):
+        # the topology's /24 is a policy peer; its applications use /32 hosts
+        assert main(["check", "--topology", PEER_BLOCK_TOPOLOGY, "--scenario", PEER_BLOCK_SCENARIO]) == 0
+        assert capsys.readouterr().out.endswith("scenario PASSED (2 steps run)\n")
+        assert main(["reachability", "--topology", PEER_BLOCK_TOPOLOGY, "--mode", "semantic"]) == 0
 
 
 class TestReachability:
@@ -284,6 +292,16 @@ class TestExplain:
              "cidr=10.28.1.2/30", "namespace=NS-UI,label=WebUI,port=443"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--policies", UI_POLICY, "cidr=10.28.1.2/30", "namespace=NS-UI,label=WebUI,port=443"],
+        ["cidr=10.28.1.2/30", "--policies", UI_POLICY, "namespace=NS-UI,label=WebUI,port=443"],
+    ])
+    def test_specs_after_policies_say_where_they_go(self, capsys, argv):
+        assert main(["explain", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "before --policies or after --" in err
 
     def test_malformed_spec(self, capsys):
         assert main(["explain", "bogus", "also=bogus", "--policies", UI_POLICY]) == 2

@@ -57,6 +57,27 @@ def test_unknown_key_warnings_exact():
     )
 
 
+EGRESS_TO_PODS = """\
+apiVersion: cilium.io/v2
+kind: CiliumNetworkPolicy
+metadata: {name: P, namespace: NS-UI}
+spec:
+  endpointSelector: {matchLabels: {app: WebUI}}
+  egress:
+    - toEndpoints: [{matchLabels: {app: Command}}]
+"""
+
+
+def test_egress_to_endpoints_alone_is_named_as_not_modeled():
+    with pytest.raises(MalformedYaml) as raised:
+        parse_cilium_policy(EGRESS_TO_PODS)
+    assert str(raised.value) == (
+        "spec.egress[0]: 'toEndpoints' (egress to pods) is not modeled; egress needs 'toCIDRSet'"
+    )
+    beside_a_block = EGRESS_TO_PODS.replace("    - toEndpoints:", "    - toCIDRSet: [{cidr: 10.0.0.0/8}]\n      toEndpoints:")
+    assert parse_cilium_policy(beside_a_block).warnings == ("spec.egress[0]: unknown key 'toEndpoints'",)
+
+
 PLAIN_POLICY = {
     "apiVersion": "cilium.io/v2",
     "kind": "CiliumNetworkPolicy",
