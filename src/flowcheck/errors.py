@@ -74,7 +74,7 @@ class PolicyViolation(ContractViolation):
     def verdict(self):
         """A denied MatchVerdict whose failed_predicates are what
         matching.explain gives for the flow."""
-        from .matching import MatchVerdict, explain  # matching imports this module
+        from .matching import MatchVerdict, explain  # matching imports model, which imports this module
 
         return MatchVerdict(failed_predicates=explain(self.policies, self.sender, self.receiver, self.mode))
 
