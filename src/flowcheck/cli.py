@@ -212,7 +212,7 @@ def cmd_reachability(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    if args.receiver is None:  # --policies took the specs as files
+    if args.receiver is None:  # missing, or read by --policies as files
         raise FlowcheckError(
             "explain needs a sender and a receiver endpoint spec: give them before --policies or after --, "
             "since --policies reads every argument up to the next option as a file"
