@@ -16,8 +16,10 @@ Three input formats:
 All three are loaded by ``_load_yaml`` in one pass: libyaml's scanner and
 parser when PyYAML has them, its pure-Python ones otherwise, and on
 either one Python loop that builds lists and dicts straight from the
-parser's events.  Scalars load as str, null, bool, int (of at most 64
-bits), float, binary or timestamp, and collections as plain sequences and
+parser's events.  Each distinct scalar, by its text and how it was
+written (``implicit``, or its explicit tag), is resolved and built once
+per file.  Scalars load as str, null, bool, int (of at most 64 bits),
+float, binary or timestamp, and collections as plain sequences and
 mappings, with merge keys.  Refused: any other tag (``!!set``, ``!!omap``,
 ``!!pairs``, ``!foo``) or a tag that does not fit its node, a duplicate
 key, an alias to a collection still open, and nesting deeper than
@@ -94,11 +96,13 @@ _BASE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 MAX_NESTING = 100
 
 _TAG = "tag:yaml.org,2002:"
+_STR, _INT, _MERGE_TAG = _TAG + "str", _TAG + "int", _TAG + "merge"
 # scalar tags the loader's own constructors build; a str is the event's text
 _CONSTRUCTED = frozenset(_TAG + name for name in ("null", "bool", "int", "float", "binary", "timestamp"))
 _KEY = object()  # a mapping's next value is a key
 _MERGE = object()  # a "<<" key, or a scalar tagged as one
 _OPEN = object()  # an anchored collection still being built
+_UNBUILT = object()  # a scalar whose written form this load has not built yet
 
 
 def _error(problem: str, mark, context=None, context_mark=None) -> yaml.MarkedYAMLError:
@@ -122,12 +126,25 @@ def _strict_loader(base: type) -> type:
     collections: no node tree, no recursion.  It rejects duplicate mapping
     keys instead of silently keeping the last one, ints wider than 64
     bits, any tag but the core scalar ones and plain ``!!seq``/``!!map``,
-    an alias to a collection still open, and nesting past ``MAX_NESTING``."""
+    an alias to a collection still open, and nesting past ``MAX_NESTING``.
+
+    Each distinct scalar is resolved and built once per load: its value is
+    kept under its written form, the text plus either ``implicit`` (which
+    is all ``resolve`` reads) or the explicit tag.  Every value a core
+    constructor builds is immutable, so sharing it is invisible.  A scalar
+    that is refused is refused at its first occurrence, so no refusal is
+    kept."""
 
     class Strict(base):
         def get_single_data(self):
+            get_event = self.get_event
+            scalar_event, alias_event = yaml.ScalarEvent, yaml.AliasEvent
+            # per start event: the collection's name, its own tag, its type
+            opens = {yaml.SequenceStartEvent: ("sequence", _TAG + "seq", list),
+                     yaml.MappingStartEvent: ("mapping", _TAG + "map", dict)}
+            closes = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
+            built: dict = {}  # (text, implicit or explicit tag) -> value
             anchors: dict = {}  # anchor -> (value, height, start mark)
-            resolved: dict = {}  # (text, implicit) -> tag; resolve reads nothing else
             # per open collection: [value, anchor, start mark, height of its
             # highest child, pending key, merged entries]; the bottom list
             # holds the document
@@ -141,54 +158,56 @@ def _strict_loader(base: type) -> type:
                 anchors[anchor] = value, height, mark
 
             while True:
-                event = self.get_event()
-                kind, mark = type(event), event.start_mark
-                if kind is yaml.ScalarEvent:
-                    value, height, tag = event.value, 0, event.tag
-                    if tag is None or tag == "!":
-                        written = value, event.implicit
-                        tag = resolved.get(written) or resolved.setdefault(
-                            written, self.resolve(yaml.ScalarNode, *written))
-                    if tag in _CONSTRUCTED:
-                        node = yaml.ScalarNode(tag, value, mark, event.end_mark)
-                        value = self.yaml_constructors[tag](self, node)
-                        # no field takes a wider int; one past the digit limit cannot be printed
-                        if tag == _TAG + "int" and value.bit_length() > 64:
-                            raise _error("integer out of range", mark)
-                    elif tag == _TAG + "merge":
-                        value = _MERGE
-                    elif tag != _TAG + "str":
-                        raise _error(f"tag {tag!r} is not allowed on a scalar", mark)
+                event = get_event()
+                kind = type(event)
+                # the start mark of the value to place: a closed collection's
+                # comes from its frame, a scalar's or an alias's is read
+                # from the event only on error
+                mark = None
+                if kind is scalar_event:
+                    tag = event.tag
+                    written = event.value, (event.implicit if tag is None or tag == "!" else tag)
+                    value = built.get(written, _UNBUILT)
+                    if value is _UNBUILT:
+                        value = built[written] = self._build_scalar(event, tag)
                     if event.anchor is not None:
-                        define(event.anchor, value, 0, mark)
-                elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
-                    collection = "sequence" if kind is yaml.SequenceStartEvent else "mapping"
-                    if event.tag not in (None, "!", _TAG + collection[:3]):
-                        raise _error(f"tag {event.tag!r} is not allowed on a {collection}", mark)
+                        define(event.anchor, value, 0, event.start_mark)
+                    frame = stack[-1]
+                elif kind in opens:
+                    collection, own_tag, new = opens[kind]
+                    mark, tag = event.start_mark, event.tag
+                    if tag is not None and tag != "!" and tag != own_tag:
+                        raise _error(f"tag {tag!r} is not allowed on a {collection}", mark)
                     if len(stack) > MAX_NESTING:
                         raise _error(f"collections nested deeper than {MAX_NESTING} levels", mark)
                     if event.anchor is not None:
                         define(event.anchor, _OPEN, 0, mark)
-                    stack.append([[] if collection == "sequence" else {}, event.anchor, mark, 0, _KEY, None])
+                    stack.append([new(), event.anchor, mark, 0, _KEY, None])
                     continue
-                elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+                elif kind in closes:
                     value, anchor, mark, height, _, merged = stack.pop()
                     height += 1
                     if merged is not None:  # explicit keys override merged ones
                         value = {**merged, **value}
                     if anchor is not None:
                         anchors[anchor] = value, height, mark
-                elif kind is yaml.AliasEvent:
+                    frame = stack[-1]
+                    if height > frame[3]:
+                        frame[3] = height
+                elif kind is alias_event:
                     if event.anchor not in anchors:
-                        raise _error(f"found undefined alias {event.anchor!r}", mark)
+                        raise _error(f"found undefined alias {event.anchor!r}", event.start_mark)
                     value, height, _ = anchors[event.anchor]
                     if value is _OPEN:
-                        raise _error("found an alias to an enclosing collection", mark)
+                        raise _error("found an alias to an enclosing collection", event.start_mark)
                     if len(stack) - 1 + height > MAX_NESTING:
-                        raise _error(f"collections nested deeper than {MAX_NESTING} levels", mark)
+                        raise _error(f"collections nested deeper than {MAX_NESTING} levels", event.start_mark)
+                    frame = stack[-1]
+                    if height > frame[3]:
+                        frame[3] = height
                 elif kind is yaml.DocumentStartEvent:
                     if root_mark is not None:
-                        raise _error("but found another document", mark,
+                        raise _error("but found another document", event.start_mark,
                                      "expected a single document in the stream", root_mark)
                     root_mark = self.peek_event().start_mark
                     continue
@@ -197,27 +216,42 @@ def _strict_loader(base: type) -> type:
                     return document[0] if document else None
                 else:
                     continue
-                frame = stack[-1]
                 container, key = frame[0], frame[4]
-                if height > frame[3]:
-                    frame[3] = height
                 if value is _MERGE and (key is not _KEY or type(container) is list):
-                    raise _error(f"tag {_TAG + 'merge'!r} is not allowed on a scalar outside a mapping key", mark)
+                    raise _error(f"tag {_MERGE_TAG!r} is not allowed on a scalar outside a mapping key",
+                                 mark or event.start_mark)
                 if type(container) is list:
                     container.append(value)
                 elif key is _KEY:
                     if value is _MERGE and frame[5] is not None:
-                        raise _error("duplicate mapping key '<<'", mark)
+                        raise _error("duplicate mapping key '<<'", mark or event.start_mark)
                     if isinstance(value, (list, dict)):
-                        raise _error("found unhashable key", mark)
+                        raise _error("found unhashable key", mark or event.start_mark)
                     if value in container:
-                        raise _error(f"duplicate mapping key {value!r}", mark)
+                        raise _error(f"duplicate mapping key {value!r}", mark or event.start_mark)
                     frame[4] = value
                 elif key is _MERGE:
-                    frame[4], frame[5] = _KEY, _merged(value, mark)
+                    frame[4], frame[5] = _KEY, _merged(value, mark or event.start_mark)
                 else:
                     frame[4] = _KEY
                     container[key] = value
+
+        def _build_scalar(self, event, tag):
+            """The value of a scalar's first occurrence in the load."""
+            if tag is None or tag == "!":
+                tag = self.resolve(yaml.ScalarNode, event.value, event.implicit)
+            if tag == _STR:
+                return event.value
+            if tag in _CONSTRUCTED:
+                node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark)
+                value = self.yaml_constructors[tag](self, node)
+                # no field takes a wider int; one past the digit limit cannot be printed
+                if tag == _INT and value.bit_length() > 64:
+                    raise _error("integer out of range", event.start_mark)
+                return value
+            if tag == _MERGE_TAG:
+                return _MERGE
+            raise _error(f"tag {tag!r} is not allowed on a scalar", event.start_mark)
 
     Strict.__name__ = Strict.__qualname__ = f"Strict{base.__name__}"
     return Strict
@@ -406,9 +440,19 @@ def _parse_ingress_rule(rule: Mapping, where: str, warnings: list) -> IngressRul
     return IngressRule(from_cidr_set=from_cidrs, from_endpoints=from_endpoints, to_ports=to_ports)
 
 
+# Cilium's egress destinations besides toCIDRSet, none of them modeled
+_EGRESS_PEERS = {
+    "toEndpoints": "egress to pods", "toCIDR": "egress to bare CIDRs", "toEntities": "egress to entities",
+    "toServices": "egress to services", "toFQDNs": "egress to DNS names", "toGroups": "egress to cloud groups",
+    "toNodes": "egress to nodes",
+}
+
+
 def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> EgressRule:
-    if "toCIDRSet" not in rule and "toEndpoints" in rule:
-        raise MalformedYaml(f"{where}: 'toEndpoints' (egress to pods) is not modeled; egress needs 'toCIDRSet'")
+    peers = [] if "toCIDRSet" in rule else [f"{key!r} ({_EGRESS_PEERS[key]})" for key in rule if key in _EGRESS_PEERS]
+    if peers:  # named here, since the missing toCIDRSet would fail before the warnings are read
+        verb = "is" if len(peers) == 1 else "are"
+        raise MalformedYaml(f"{where}: {', '.join(peers)} {verb} not modeled; egress needs 'toCIDRSet'")
     to_cidrs = _parse_cidr_set(_require_key(rule, "toCIDRSet", where), f"{where}.toCIDRSet", warnings)
     if not to_cidrs:
         raise MalformedYaml(f"{where}: toCIDRSet must not be empty")
@@ -642,6 +686,9 @@ _ACTIONS = {
     "deploy_application": ("DeployApplication", _APP_KEYS | {"policies"}),
     "send_data": ("TransferData", {"from", "to", "endpoint"}),
 }
+_STEP_KEYS = {action: keys | {"expect"} for action, (_, keys) in _ACTIONS.items()}
+# create_policy's direction, 0 or 1 (an equal float too, as Direction() took)
+_DIRECTIONS = {0: Direction.INGRESS, 1: Direction.EGRESS}
 
 
 @dataclass(frozen=True)
@@ -705,7 +752,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
         if len(_require_mapping(raw, where)) != 1:
             raise MalformedYaml(f"{where}: step must have exactly one action key")
         action, body = next(iter(_node(raw, _ACTIONS, where).items()))
-        body = _node(_require_mapping(body, f"{where}.{action}"), _ACTIONS[action][1] | {"expect"}, where)
+        body = _node(_require_mapping(body, f"{where}.{action}"), _STEP_KEYS[action], where)
         expected = _parse_expectation(body.get("expect"), action, where)
 
         if action == "create_endpoint":
@@ -723,7 +770,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
             name = declare(body, where)
             policies.add(name)
             args = {"name": name, "first": first, "second": second,
-                    "direction": Direction(direction)}
+                    "direction": _DIRECTIONS[direction]}
         elif action == "deploy_application":
             for j, ref in enumerate(_require_list(body.get("policies", []), f"{where}.policies")):
                 _declared(policies, ref, f"{where}.policies[{j}]", "policy")

@@ -121,6 +121,16 @@ class Endpoint:
             _check_int(self.port, "port", 1, 65535)
         if self.label is not None and not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
+        # hashed once, as a Policy is: every reachability key holds an
+        # endpoint, and the dataclass hash walks its Cidr and Namespace
+        object.__setattr__(self, "_hash", hash((self.cidr, self.namespace, self.port, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: str hashes differ between processes
+        return Endpoint, (self.cidr, self.namespace, self.port, self.label)
 
     @cached_property
     def normalized(self) -> tuple:

@@ -403,6 +403,24 @@ class TestParseScenario:
         with pytest.raises(MalformedYaml):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("written, direction", [
+        ("0", Direction.INGRESS), ("1", Direction.EGRESS), ("0.0", Direction.INGRESS), ("1.0", Direction.EGRESS),
+    ])
+    def test_a_number_equal_to_0_or_1_is_that_direction(self, scenario_texts, written, direction):
+        text = scenario_texts["client_to_webui"].replace("direction: 0", f"direction: {written}")
+        step = parse_scenario(text).steps[2]
+        assert step.action == "create_policy" and step.arguments["direction"] is direction
+
+    @pytest.mark.parametrize("written", ["true", "false", "2", "-1", '"1"', "'0'", ".nan", "~", "[1]", "{a: 1}"])
+    def test_any_other_direction_exits_2(self, scenario_texts, written, tmp_path, capsys):
+        text = scenario_texts["client_to_webui"].replace("direction: 0", f"direction: {written}")
+        with pytest.raises(MalformedYaml, match=r"^steps\[2\]\.direction: must be 0 or 1, got "):
+            parse_scenario(text)
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(text, encoding="utf-8")
+        assert main(["check", "--scenario", str(scenario)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_port_zero_is_sentinel_here(self):
         script = parse_scenario(
             "steps:\n  - create_endpoint: {name: e, namespace: NS-A, port: 0}\n"

@@ -78,6 +78,44 @@ def test_egress_to_endpoints_alone_is_named_as_not_modeled():
     assert parse_cilium_policy(beside_a_block).warnings == ("spec.egress[0]: unknown key 'toEndpoints'",)
 
 
+EGRESS_PEER_VALUES = {
+    "toFQDNs": "[{matchName: example.com}]",
+    "toEntities": "[world]",
+    "toServices": "[{k8sService: {serviceName: db, namespace: NS-DB}}]",
+    "toCIDR": "[10.0.0.0/8]",
+    "toGroups": "[{aws: {securityGroupsIds: [sg-1]}}]",
+    "toNodes": "[{matchLabels: {role: worker}}]",
+}
+
+
+@pytest.mark.parametrize("key", sorted(EGRESS_PEER_VALUES))
+def test_another_unmodeled_egress_peer_alone_is_named(key):
+    alone = EGRESS_TO_PODS.replace("toEndpoints: [{matchLabels: {app: Command}}]", f"{key}: {EGRESS_PEER_VALUES[key]}")
+    with pytest.raises(MalformedYaml) as raised:
+        parse_cilium_policy(alone)
+    assert str(raised.value) == (
+        f"spec.egress[0]: {key!r} ({ingest._EGRESS_PEERS[key]}) is not modeled; egress needs 'toCIDRSet'"
+    )
+    beside_a_block = alone.replace(f"    - {key}:", f"    - toCIDRSet: [{{cidr: 10.0.0.0/8}}]\n      {key}:")
+    assert parse_cilium_policy(beside_a_block).warnings == (f"spec.egress[0]: unknown key {key!r}",)
+
+
+def test_every_unmodeled_egress_peer_has_a_case():
+    assert set(ingest._EGRESS_PEERS) == {"toEndpoints", *EGRESS_PEER_VALUES}
+
+
+def test_several_unmodeled_egress_peers_are_all_named():
+    text = EGRESS_TO_PODS + "      toFQDNs: [{matchName: example.com}]\n"
+    with pytest.raises(MalformedYaml) as raised:
+        parse_cilium_policy(text)
+    assert str(raised.value) == (
+        "spec.egress[0]: 'toEndpoints' (egress to pods), 'toFQDNs' (egress to DNS names) are not modeled;"
+        " egress needs 'toCIDRSet'"
+    )
+    with pytest.raises(MalformedYaml, match=r"^spec\.egress\[0\]: missing 'toCIDRSet'$"):
+        parse_cilium_policy(EGRESS_TO_PODS.replace("toEndpoints: [{matchLabels: {app: Command}}]", "toPorts: []"))
+
+
 PLAIN_POLICY = {
     "apiVersion": "cilium.io/v2",
     "kind": "CiliumNetworkPolicy",

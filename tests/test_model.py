@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -162,6 +163,38 @@ class TestPolicy:
         fresh = Policy(pair=(Endpoint(label="a"), Endpoint(label="b")), direction=1)
         assert policy == fresh and policy.origin == PolicyOrigin("doc", 0)
         assert hash(policy) == hash(fresh) and len({policy, fresh}) == 1
+
+    def test_a_pickled_endpoint_hashes_like_a_fresh_one(self):
+        # the endpoint and a policy holding it are hashed before pickling in
+        # a process with another str hash seed; both are rebuilt here
+        code = (
+            "import pickle, sys\n"
+            "from flowcheck import Cidr, Endpoint, Namespace, Policy\n"
+            "e = Endpoint(Cidr(10, 0, 0, 0, 8), Namespace('NS-A', 3), 443, 'web')\n"
+            "p = Policy((e, Endpoint(label='b')), 0)\n"
+            "hash(e), hash(p), e.normalized\n"
+            "sys.stdout.buffer.write(pickle.dumps((e, p)))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        sent = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60)
+        endpoint, policy = pickle.loads(sent.stdout)
+        fresh = Endpoint(Cidr(10, 0, 0, 0, 8), Namespace("NS-A", 3), 443, "web")
+        assert endpoint == fresh and hash(endpoint) == hash(fresh) and len({endpoint, fresh}) == 1
+        assert hash(endpoint) == hash((fresh.cidr, fresh.namespace, fresh.port, fresh.label))
+        assert policy.pair[0] == fresh and hash(policy.pair[0]) == hash(fresh)
+        assert policy == Policy((fresh, Endpoint(label="b")), 0)
+        assert hash(policy) == hash(Policy((fresh, Endpoint(label="b")), 0))
+
+    def test_a_replaced_endpoint_hashes_its_own_fields(self):
+        ep = Endpoint(namespace=Namespace("NS-A", 1), port=80, label="web")
+        moved = dataclasses.replace(ep, port=443)
+        fresh = Endpoint(namespace=Namespace("NS-A", 1), port=443, label="web")
+        assert moved == fresh and hash(moved) == hash(fresh) and hash(moved) != hash(ep)
+        assert len({ep, moved, fresh}) == 2
+        with pytest.raises(ValueError):
+            dataclasses.replace(ep, port=0)
 
 
 class TestPolicySet:

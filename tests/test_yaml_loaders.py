@@ -166,6 +166,76 @@ def test_no_composer_no_constructor_no_collection_nodes(strict_loader, monkeypat
     assert set(built_tags) == {"tag:yaml.org,2002:int", "tag:yaml.org,2002:timestamp", "tag:yaml.org,2002:null"}
 
 
+@pytest.mark.parametrize("text, problem, line, column", [
+    ("a: 1\nb: 2\na: 3\n", "duplicate mapping key 'a'", 3, 1),
+    (f"a: '{2**64}'\nb: !!str {2**64}\nn: {2**64}\n", "integer out of range", 3, 4),
+    ("a: x\nb: !foo x\n", "tag '!foo' is not allowed on a scalar", 2, 4),
+    ("a: [x]\n? [x]\n: 1\n", "found unhashable key", 2, 3),
+    ("m: {<<: {x: 1}}\nn: [<<]\n", "tag 'tag:yaml.org,2002:merge' is not allowed on a scalar outside a mapping key",
+     2, 5),
+    ("m: {<<: {x: 1}, y: 2}\nn: {y: 3, <<: 2}\n", "expected a mapping or list of mappings for merging", 2, 15),
+], ids=["duplicate-key", "wide-int", "disallowed-tag", "unhashable-key", "merge-outside-key", "merge-of-a-scalar"])
+def test_a_refusal_names_its_own_occurrence_of_text_seen_before(strict_loader, text, problem, line, column):
+    # the text is kept from its earlier occurrence; the mark is this one's
+    with pytest.raises(MalformedYaml) as raised:
+        strict_loader(text)
+    assert str(raised.value).startswith(f'document: {problem}\n  in "document", line {line}, column {column}')
+
+
+def test_a_scalar_that_fails_to_build_raises_at_its_first_occurrence(strict_loader):
+    # a date past the month's end fails in the constructor, before the
+    # unclosed sequence after it is parsed
+    with pytest.raises(MalformedYaml, match="^document: day is out of range for month$"):
+        strict_loader("a: x\nb: 2001-02-30\nc: 2001-02-30\nd: [\n")
+    undecodable = r'^document: failed to decode base64 data: [^\n]*\n  in "document", line 2, column 4'
+    with pytest.raises(MalformedYaml, match=undecodable):
+        strict_loader("a: !!str a\nb: !!binary a\nc: !!binary a\n")
+
+
+def test_each_distinct_scalar_is_resolved_and_built_once_per_load(strict_loader, monkeypatch):
+    # a 1,000-step script-shaped file: its 18,003 untagged scalars are 1,021
+    # distinct written forms, and of all its distinct scalars only the
+    # seven whose values are not str are built
+    text = "mode: strict\nsteps:\n" + "".join(
+        f"  - create_policy: {{name: pol-{i}, first: a, second: b, direction: {i % 2},"
+        f" weight: 1.5, note: ~, flag: true, at: 2001-02-03, blob: !!binary aGk=}}\n"
+        for i in range(1000)
+    )
+    loader = ingest._StrictLoader
+    resolved, built, nodes = [], [], []
+    resolve, scalar_node = loader.resolve, yaml.nodes.ScalarNode.__init__
+
+    def counting_resolve(self, kind, value, implicit):
+        resolved.append((value, implicit))
+        return resolve(self, kind, value, implicit)
+
+    def counting_node(node, tag, *args, **kwargs):
+        nodes.append(tag)
+        scalar_node(node, tag, *args, **kwargs)
+
+    def counting(tag, construct):
+        def constructor(self, node):
+            built.append(tag.rpartition(":")[2])
+            return construct(self, node)
+        return constructor
+
+    monkeypatch.setattr(loader, "resolve", counting_resolve)
+    monkeypatch.setattr(yaml.nodes.ScalarNode, "__init__", counting_node)
+    for tag in ingest._CONSTRUCTED:
+        monkeypatch.setitem(loader.yaml_constructors, tag, counting(tag, loader.yaml_constructors[tag]))
+    value = strict_loader(text)
+    assert len(value["steps"]) == 1000 and value["steps"][999]["create_policy"]["direction"] == 1
+    events = yaml.parse(text, Loader=yaml.SafeLoader)
+    written = [(e.value, e.implicit) for e in events if isinstance(e, yaml.ScalarEvent) and e.tag is None]
+    assert len(written) == 18003  # the binary scalars carry a tag
+    assert sorted(resolved) == sorted(set(written)) and len(resolved) == 1021
+    assert sorted(built) == ["binary", "bool", "float", "int", "int", "null", "timestamp"]
+    assert len(nodes) == 7
+    # nothing is kept between loads
+    strict_loader(text)
+    assert len(resolved) == 2 * 1021 and len(built) == 14
+
+
 def test_alias_chain_is_config_error(strict_loader):
     # shallow text, but each mapping's value aliases one not yet built
     links = 1200
