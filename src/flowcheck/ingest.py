@@ -244,7 +244,12 @@ def _strict_loader(base: type) -> type:
                 return event.value
             if tag in _CONSTRUCTED:
                 node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark)
-                value = self.yaml_constructors[tag](self, node)
+                try:
+                    value = self.yaml_constructors[tag](self, node)
+                except ValueError as exc:  # e.g. "2001-02-30" or "!!int x12"
+                    raise _error(str(exc), event.start_mark) from None
+                except (LookupError, AttributeError):  # e.g. "!!bool x", "!!int ''" or "!!timestamp x"
+                    raise _error(f"not a valid {tag[len(_TAG):]}: {event.value!r}", event.start_mark) from None
                 # no field takes a wider int; one past the digit limit cannot be printed
                 if tag == _INT and value.bit_length() > 64:
                     raise _error("integer out of range", event.start_mark)
@@ -261,10 +266,9 @@ _StrictLoader = _strict_loader(_BASE_LOADER)
 
 
 def _load_yaml(text: str, what: str):
-    # scalar constructors raise ValueError (e.g. on "2001-02-30")
     try:
         return yaml.load(text, Loader=_StrictLoader)
-    except (yaml.YAMLError, ValueError) as exc:
+    except yaml.YAMLError as exc:
         # PyYAML names a str input "<unicode string>"; name the document
         # kind instead (the caller names the file)
         if isinstance(exc, yaml.reader.ReaderError):

@@ -127,11 +127,6 @@ def _key(shape: Optional[tuple], fields) -> tuple:
     )
 
 
-def _oriented(policy: Policy) -> tuple[Endpoint, Endpoint]:
-    """(sender spec, receiver spec); ingress pairs are (receiver, sender)."""
-    return policy.pair[::-1] if policy.direction is Direction.INGRESS else policy.pair
-
-
 # explain's name for each key component: _FAILED[mode][side][i], side 0
 # the sender and 1 the receiver
 _FAILED = {
@@ -147,7 +142,12 @@ def _grow(lineage, mode: MatchMode) -> tuple[dict, list]:
     """The lineage's table for the mode, with a row appended, in join order, for each member that joined since."""
     lookup, rows = table = lineage.tables.setdefault(mode, ({}, []))
     for policy in lineage[len(rows):]:
-        sender, receiver = (spec.normalized for spec in _oriented(policy))
+        # oriented (sender spec, receiver spec): ingress pairs are (receiver, sender)
+        first, second = policy.pair
+        if policy.direction is Direction.INGRESS:
+            sender, receiver = second.normalized, first.normalized
+        else:
+            sender, receiver = first.normalized, second.normalized
         shapes = (_shape(sender, mode), _shape(receiver, mode))
         keys = (_key(shapes[0], sender), _key(shapes[1], receiver))
         lookup.setdefault(shapes, {}).setdefault(keys, []).append(policy)

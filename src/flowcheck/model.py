@@ -19,7 +19,6 @@ import json
 import re
 from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import IntEnum
 from itertools import islice
 from typing import Mapping, Optional
@@ -32,6 +31,27 @@ _CIDR_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}/(0|[1-9][0-9]?)"
 
 MAX_APP_ID = 2**63 - 1
 MAX_NAMESPACE_ID = 2**31 - 1
+
+
+class _memo:
+    """A value computed from an immutable instance on first read and
+    stored under the attribute's own name in the instance's dict, which
+    later reads find first.  ``functools.cached_property`` does the same
+    but, on Python 3.11, takes an ``RLock`` on every first read; the
+    values here are immutable and built from immutable fields, so a value
+    computed twice in a race is harmless and no lock is needed."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = vars(instance)[self.name] = self.func(instance)
+        return value
 
 
 def _check_int(value, name: str, lo: int, hi: int) -> None:
@@ -132,7 +152,7 @@ class Endpoint:
         # rebuilt, not copied: str hashes differ between processes
         return Endpoint, (self.cidr, self.namespace, self.port, self.label)
 
-    @cached_property
+    @_memo
     def normalized(self) -> tuple:
         """The fields with sentinels mapped to absent, as plain values:
         ((address as int, prefix length) | None, (name, id) | None, port,
@@ -146,14 +166,14 @@ class Endpoint:
             label,
         )
 
-    @cached_property
+    @_memo
     def canonical_text(self) -> str:
         """Canonical JSON text of the fields present (compact, keys
         sorted), computed on first use; a policy's text is assembled from
         its two endpoints' texts."""
         return json.dumps(endpoint_to_dict(self), sort_keys=True, separators=(",", ":"))
 
-    @cached_property
+    @_memo
     def description(self) -> str:
         """The ``describe_endpoint`` rendering, computed on first use."""
         fields = endpoint_to_dict(self)
@@ -190,32 +210,41 @@ class PolicyOrigin:
         return f"{self.document}#{self.rule_index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Policy:
     """One ordered endpoint pair mapped to a direction.
 
     Equality and hashing are structural over (pair, direction); origin is
-    provenance metadata only.  The hash is computed once, when the policy
-    is built (or unpickled).
+    provenance metadata only.  A policy is checked, built and hashed in
+    one ``__init__`` (which ``dataclasses.replace`` and unpickling call
+    too): a tuple pair and a ``Direction`` are kept as given, any other
+    pair is made a tuple and any other direction a ``Direction``.
     """
 
     pair: tuple[Endpoint, Endpoint]
     direction: Direction
     origin: Optional[PolicyOrigin] = field(default=None, compare=False)
 
-    def __post_init__(self):
-        pair = tuple(self.pair)
-        if len(pair) != 2 or not all(isinstance(e, Endpoint) for e in pair):
-            raise ValueError(f"pair must hold exactly two endpoints, got {self.pair!r}")
-        object.__setattr__(self, "pair", pair)
-        try:
-            object.__setattr__(self, "direction", Direction(self.direction))
-        except ValueError:
-            raise ValueError(f"direction must be 0 (ingress) or 1 (egress), got {self.direction!r}")
-        # hashed once: the dataclass hash walks both endpoints' fields on
-        # every call.  Set here, with the fields, it costs one int per
-        # policy; set on first use, it costs each policy a dict.
-        object.__setattr__(self, "_hash", hash((pair, self.direction)))
+    def __init__(self, pair, direction, origin=None):
+        members = pair if type(pair) is tuple else tuple(pair)
+        if len(members) != 2 or not isinstance(members[0], Endpoint) or not isinstance(members[1], Endpoint):
+            raise ValueError(f"pair must hold exactly two endpoints, got {pair!r}")
+        if type(direction) is not Direction:
+            try:
+                direction = Direction(direction)
+            except ValueError:
+                raise ValueError(f"direction must be 0 (ingress) or 1 (egress), got {direction!r}")
+        # written to the dict key by key, in one order for every policy, so
+        # all policies' dicts share one key table (``vars(self).update``
+        # would give each its own); four writes cost less than four
+        # ``object.__setattr__`` calls.  Hashed once, here, with the
+        # fields: the dataclass hash walks both endpoints' fields on every
+        # call.
+        fields = vars(self)
+        fields["pair"] = members
+        fields["direction"] = direction
+        fields["origin"] = origin
+        fields["_hash"] = hash((members, direction))
 
     def __hash__(self) -> int:
         return self._hash
@@ -224,7 +253,7 @@ class Policy:
         # rebuilt, not copied: str hashes differ between processes
         return Policy, (self.pair, self.direction, self.origin)
 
-    @cached_property
+    @_memo
     def canonical_text(self) -> str:
         """Canonical JSON text of (pair, direction), computed on first use:
         ``json.dumps(policy_to_dict(policy), sort_keys=True)`` in compact

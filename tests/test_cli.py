@@ -437,6 +437,12 @@ MALFORMED_INPUTS = {
         ["explain", "label=x", "label=y", "--policies"], POLICY_WITH_SUPERSCRIPT_PORT),
     "scenario-impossible-date": (["check", "--scenario"], "steps: []\nmode: 2001-02-30\n"),
     "scenario-bad-float-tag": (["check", "--scenario"], "steps: !!float abc\n"),
+    "scenario-step-impossible-date": (
+        ["check", "--scenario"], "steps:\n  - create_endpoint: {name: b, label: 2001-02-30}\n"),
+    "scenario-step-bad-int-tag": (["check", "--scenario"], "steps:\n  - create_endpoint: {name: b, label: !!int x12}\n"),
+    "scenario-step-bad-bool-tag": (["check", "--scenario"], "steps:\n  - create_endpoint: {name: b, label: !!bool x}\n"),
+    "scenario-step-bad-timestamp-tag": (
+        ["check", "--scenario"], "steps:\n  - create_endpoint: {name: b, label: !!timestamp x}\n"),
     "scenario-int-past-digit-limit": (["check", "--scenario"], "steps: []\nmode: " + "9" * 5000 + "\n"),
     "topology-hex-int-past-digit-limit": (
         ["reachability", "--topology"],
@@ -492,6 +498,17 @@ def test_a_tag_that_does_not_fit_its_node_is_one_error_line(name, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("error:") == 1
     assert "tag 'tag:yaml.org,2002:map' is not allowed on a sequence" in err
+
+
+@pytest.mark.parametrize("name", [name for name in MALFORMED_INPUTS if name.startswith("scenario-step-")])
+def test_a_scalar_refused_in_a_scenario_step_names_its_position(name, tmp_path, capsys):
+    args, content = MALFORMED_INPUTS[name]
+    path = tmp_path / "input.yaml"
+    path.write_text(content, encoding="utf-8")
+    assert main([*args, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: scenario document: ") and err.count("error:") == 1
+    assert '\n  in "scenario document", line 2, column 39' in err
 
 
 # one bad file among good ones, in the BAD slot: its error line names it

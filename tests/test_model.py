@@ -38,6 +38,7 @@ from flowcheck import (
     send_data,
 )
 from flowcheck.errors import InvalidCidrString
+from flowcheck.model import _memo
 
 
 class TestCidr:
@@ -125,6 +126,46 @@ class TestPolicy:
         assert Policy(pair=(ep, ep), direction=0).direction is Direction.INGRESS
         assert Policy(pair=(ep, ep), direction=1).direction is Direction.EGRESS
 
+    def test_a_list_pair_is_stored_as_a_tuple(self):
+        a, b = Endpoint(label="a"), Endpoint(label="b")
+        policy = Policy([a, b], Direction.EGRESS)
+        assert type(policy.pair) is tuple and policy.pair == (a, b)
+
+    @pytest.mark.parametrize("direction", [True, 1.0])
+    def test_a_direction_equal_to_one_is_egress(self, direction):
+        ep = Endpoint(label="x")
+        assert Policy((ep, ep), direction).direction is Direction.EGRESS
+
+    EP = Endpoint(label="x")
+
+    @pytest.mark.parametrize(
+        "pair, direction, message",
+        [
+            ([EP, EP, EP], 0, f"pair must hold exactly two endpoints, got {[EP, EP, EP]!r}"),
+            ((EP, "x"), 0, f"pair must hold exactly two endpoints, got {(EP, 'x')!r}"),
+            ((EP, EP), 2, "direction must be 0 (ingress) or 1 (egress), got 2"),
+            ((EP, EP), "1", "direction must be 0 (ingress) or 1 (egress), got '1'"),
+        ],
+        ids=["three-endpoints", "not-an-endpoint", "direction-2", "direction-str"],
+    )
+    def test_each_refusal_keeps_its_message(self, pair, direction, message):
+        with pytest.raises(ValueError) as refused:
+            Policy(pair, direction)
+        assert str(refused.value) == message
+
+    def test_a_replaced_policy_hashes_its_own_fields(self):
+        a, b = Endpoint(label="a"), Endpoint(label="b")
+        egress = Policy((a, b), Direction.EGRESS, PolicyOrigin("doc", 1))
+        moved = dataclasses.replace(egress, direction=0)
+        fresh = Policy((a, b), Direction.INGRESS)
+        assert moved.direction is Direction.INGRESS and moved.origin == PolicyOrigin("doc", 1)
+        assert moved == fresh and hash(moved) == hash(fresh) and hash(moved) != hash(egress)
+
+    def test_converted_arguments_build_an_equal_policy(self):
+        a, b = Endpoint(label="a"), Endpoint(label="b")
+        converted, given = Policy([a, b], 0), Policy((a, b), Direction.INGRESS)
+        assert converted == given and hash(converted) == hash(given) and len({converted, given}) == 1
+
     def test_equality_ignores_origin(self):
         a = Endpoint(label="a")
         b = Endpoint(label="b")
@@ -195,6 +236,35 @@ class TestPolicy:
         assert len({ep, moved, fresh}) == 2
         with pytest.raises(ValueError):
             dataclasses.replace(ep, port=0)
+
+
+class TestMemo:
+    def test_the_first_read_stores_the_value_and_later_reads_find_it(self):
+        calls = []
+
+        class Holder:
+            @_memo
+            def value(self):
+                calls.append(self)
+                return object()
+
+        holder = Holder()
+        first = holder.value
+        assert calls == [holder] and vars(holder) == {"value": first}
+        assert holder.value is first and holder.value is first and calls == [holder]
+
+    def test_a_frozen_value_keeps_its_memo_in_its_dict(self):
+        policy = Policy((Endpoint(label="a"), Endpoint(label="b")), Direction.EGRESS)
+        assert "canonical_text" not in vars(policy)
+        text = policy.canonical_text
+        assert vars(policy)["canonical_text"] is text and policy.canonical_text is text
+        assert vars(policy.pair[0])["canonical_text"] == '{"label":"a"}'
+
+    def test_reading_on_the_class_gives_the_descriptor(self):
+        for owner, name in [(Policy, "canonical_text"), (Endpoint, "normalized"), (Endpoint, "description")]:
+            memo = getattr(owner, name)
+            assert isinstance(memo, _memo) and memo is vars(owner)[name] and memo.name == name
+            assert memo.__doc__ == memo.func.__doc__
 
 
 class TestPolicySet:

@@ -185,11 +185,28 @@ def test_a_refusal_names_its_own_occurrence_of_text_seen_before(strict_loader, t
 def test_a_scalar_that_fails_to_build_raises_at_its_first_occurrence(strict_loader):
     # a date past the month's end fails in the constructor, before the
     # unclosed sequence after it is parsed
-    with pytest.raises(MalformedYaml, match="^document: day is out of range for month$"):
+    day = r'^document: day is out of range for month\n  in "document", line 2, column 4'
+    with pytest.raises(MalformedYaml, match=day):
         strict_loader("a: x\nb: 2001-02-30\nc: 2001-02-30\nd: [\n")
     undecodable = r'^document: failed to decode base64 data: [^\n]*\n  in "document", line 2, column 4'
     with pytest.raises(MalformedYaml, match=undecodable):
         strict_loader("a: !!str a\nb: !!binary a\nc: !!binary a\n")
+
+
+@pytest.mark.parametrize("scalar, problem", [
+    ("!!int x12", "invalid literal for int() with base 10: 'x12'"),
+    ("!!float abc", "could not convert string to float: 'abc'"),
+    ("!!bool abc", "not a valid bool: 'abc'"),
+    ("!!int ''", "not a valid int: ''"),
+    ("!!float ''", "not a valid float: ''"),
+    ("!!timestamp abc", "not a valid timestamp: 'abc'"),
+], ids=["int-letters", "float-letters", "bool-word", "int-empty", "float-empty", "timestamp-word"])
+def test_a_tagged_scalar_its_constructor_cannot_read_is_refused_at_its_position(strict_loader, scalar, problem):
+    # PyYAML's core constructors refuse such text with ValueError, or fail
+    # with KeyError, IndexError or AttributeError; each is one marked refusal
+    with pytest.raises(MalformedYaml) as raised:
+        strict_loader(f"a: x\nb: {scalar}\n")
+    assert str(raised.value).startswith(f'document: {problem}\n  in "document", line 2, column 4')
 
 
 def test_each_distinct_scalar_is_resolved_and_built_once_per_load(strict_loader, monkeypatch):
