@@ -13,18 +13,18 @@ Three input formats:
   four scenario actions keyed by name, referencing endpoints and policies
   by the symbolic names earlier steps declared.
 
-All three are loaded by ``_load_yaml`` in one pass: libyaml's scanner and
-parser when PyYAML has them, its pure-Python ones otherwise, and on
-either one Python loop that builds lists and dicts straight from the
-parser's events.  Each distinct scalar, by its text and how it was
-written (``implicit``, or its explicit tag), is resolved and built once
-per file.  Scalars load as str, null, bool, int (of at most 64 bits),
-float, binary or timestamp, and collections as plain sequences and
-mappings, with merge keys.  Refused: any other tag (``!!set``, ``!!omap``,
-``!!pairs``, ``!foo``) or a tag that does not fit its node, a duplicate
-key, an alias to a collection still open, and nesting deeper than
-``MAX_NESTING`` levels, which counts through aliases: an alias adds the
-height of the value it names.
+All three are loaded by ``_load_yaml`` in one pass: a loader of
+``_BASE_LOADER`` (libyaml's scanner and parser when PyYAML has them, its
+pure-Python ones otherwise) hands its parser's events to ``_document``,
+one Python loop that builds lists and dicts straight from them.  Each
+distinct scalar, by its text and how it was written (``implicit``, or its
+explicit tag), is resolved and built once per file.  Scalars load as str,
+null, bool, int (of at most 64 bits), float, binary or timestamp, and
+collections as plain sequences and mappings, with merge keys.  Refused:
+any other tag (``!!set``, ``!!omap``, ``!!pairs``, ``!foo``) or a tag that
+does not fit its node, a duplicate key, an alias to a collection still
+open, and nesting deeper than ``MAX_NESTING`` levels, which counts through
+aliases: an alias adds the height of the value it names.
 
 Scenario and topology endpoint fields use sentinel values for
 "unconstrained" (cidr 0.0.0.0/0, namespace "-", port 0, empty label);
@@ -120,13 +120,13 @@ def _merged(value, mark) -> dict:
     return merged
 
 
-def _strict_loader(base: type) -> type:
-    """A safe loader on ``base`` that builds the one document's value from
-    the parser's events in one loop over an explicit stack of open
-    collections: no node tree, no recursion.  It rejects duplicate mapping
-    keys instead of silently keeping the last one, ints wider than 64
-    bits, any tag but the core scalar ones and plain ``!!seq``/``!!map``,
-    an alias to a collection still open, and nesting past ``MAX_NESTING``.
+def _document(loader):
+    """The one document's value, built from ``loader``'s parser events in
+    one loop over an explicit stack of open collections: no node tree, no
+    recursion.  It rejects duplicate mapping keys instead of silently
+    keeping the last one, ints wider than 64 bits, any tag but the core
+    scalar ones and plain ``!!seq``/``!!map``, an alias to a collection
+    still open, and nesting past ``MAX_NESTING``.
 
     Each distinct scalar is resolved and built once per load: its value is
     kept under its written form, the text plus either ``implicit`` (which
@@ -134,140 +134,137 @@ def _strict_loader(base: type) -> type:
     constructor builds is immutable, so sharing it is invisible.  A scalar
     that is refused is refused at its first occurrence, so no refusal is
     kept."""
+    get_event = loader.get_event
+    scalar_event, alias_event = yaml.ScalarEvent, yaml.AliasEvent
+    # per start event: the collection's name, its own tag, its type
+    opens = {yaml.SequenceStartEvent: ("sequence", _TAG + "seq", list),
+             yaml.MappingStartEvent: ("mapping", _TAG + "map", dict)}
+    closes = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
+    built: dict = {}  # (text, implicit or explicit tag) -> value
+    anchors: dict = {}  # anchor -> (value, height, start mark)
+    # per open collection: [value, anchor, start mark, height of its
+    # highest child, pending key, merged entries]; the bottom list
+    # holds the document
+    stack: list = [[[], None, None, 0, _KEY, None]]
+    root_mark = None
 
-    class Strict(base):
-        def get_single_data(self):
-            get_event = self.get_event
-            scalar_event, alias_event = yaml.ScalarEvent, yaml.AliasEvent
-            # per start event: the collection's name, its own tag, its type
-            opens = {yaml.SequenceStartEvent: ("sequence", _TAG + "seq", list),
-                     yaml.MappingStartEvent: ("mapping", _TAG + "map", dict)}
-            closes = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
-            built: dict = {}  # (text, implicit or explicit tag) -> value
-            anchors: dict = {}  # anchor -> (value, height, start mark)
-            # per open collection: [value, anchor, start mark, height of its
-            # highest child, pending key, merged entries]; the bottom list
-            # holds the document
-            stack: list = [[[], None, None, 0, _KEY, None]]
-            root_mark = None
+    def define(anchor, value, height, mark):
+        if anchor in anchors:
+            first = f"found duplicate anchor {anchor!r}; first occurrence"
+            raise _error("second occurrence", mark, first, anchors[anchor][2])
+        anchors[anchor] = value, height, mark
 
-            def define(anchor, value, height, mark):
-                if anchor in anchors:
-                    first = f"found duplicate anchor {anchor!r}; first occurrence"
-                    raise _error("second occurrence", mark, first, anchors[anchor][2])
+    while True:
+        event = get_event()
+        kind = type(event)
+        # the start mark of the value to place: a closed collection's
+        # comes from its frame, a scalar's or an alias's is read
+        # from the event only on error
+        mark = None
+        if kind is scalar_event:
+            tag = event.tag
+            written = event.value, (event.implicit if tag is None or tag == "!" else tag)
+            value = built.get(written, _UNBUILT)
+            if value is _UNBUILT:
+                value = built[written] = _scalar(loader, event, tag)
+            if event.anchor is not None:
+                define(event.anchor, value, 0, event.start_mark)
+            frame = stack[-1]
+        elif kind in opens:
+            collection, own_tag, new = opens[kind]
+            mark, tag = event.start_mark, event.tag
+            if tag is not None and tag != "!" and tag != own_tag:
+                raise _error(f"tag {tag!r} is not allowed on a {collection}", mark)
+            if len(stack) > MAX_NESTING:
+                raise _error(f"collections nested deeper than {MAX_NESTING} levels", mark)
+            if event.anchor is not None:
+                define(event.anchor, _OPEN, 0, mark)
+            stack.append([new(), event.anchor, mark, 0, _KEY, None])
+            continue
+        elif kind in closes:
+            value, anchor, mark, height, _, merged = stack.pop()
+            height += 1
+            if merged is not None:  # explicit keys override merged ones
+                value = {**merged, **value}
+            if anchor is not None:
                 anchors[anchor] = value, height, mark
-
-            while True:
-                event = get_event()
-                kind = type(event)
-                # the start mark of the value to place: a closed collection's
-                # comes from its frame, a scalar's or an alias's is read
-                # from the event only on error
-                mark = None
-                if kind is scalar_event:
-                    tag = event.tag
-                    written = event.value, (event.implicit if tag is None or tag == "!" else tag)
-                    value = built.get(written, _UNBUILT)
-                    if value is _UNBUILT:
-                        value = built[written] = self._build_scalar(event, tag)
-                    if event.anchor is not None:
-                        define(event.anchor, value, 0, event.start_mark)
-                    frame = stack[-1]
-                elif kind in opens:
-                    collection, own_tag, new = opens[kind]
-                    mark, tag = event.start_mark, event.tag
-                    if tag is not None and tag != "!" and tag != own_tag:
-                        raise _error(f"tag {tag!r} is not allowed on a {collection}", mark)
-                    if len(stack) > MAX_NESTING:
-                        raise _error(f"collections nested deeper than {MAX_NESTING} levels", mark)
-                    if event.anchor is not None:
-                        define(event.anchor, _OPEN, 0, mark)
-                    stack.append([new(), event.anchor, mark, 0, _KEY, None])
-                    continue
-                elif kind in closes:
-                    value, anchor, mark, height, _, merged = stack.pop()
-                    height += 1
-                    if merged is not None:  # explicit keys override merged ones
-                        value = {**merged, **value}
-                    if anchor is not None:
-                        anchors[anchor] = value, height, mark
-                    frame = stack[-1]
-                    if height > frame[3]:
-                        frame[3] = height
-                elif kind is alias_event:
-                    if event.anchor not in anchors:
-                        raise _error(f"found undefined alias {event.anchor!r}", event.start_mark)
-                    value, height, _ = anchors[event.anchor]
-                    if value is _OPEN:
-                        raise _error("found an alias to an enclosing collection", event.start_mark)
-                    if len(stack) - 1 + height > MAX_NESTING:
-                        raise _error(f"collections nested deeper than {MAX_NESTING} levels", event.start_mark)
-                    frame = stack[-1]
-                    if height > frame[3]:
-                        frame[3] = height
-                elif kind is yaml.DocumentStartEvent:
-                    if root_mark is not None:
-                        raise _error("but found another document", event.start_mark,
-                                     "expected a single document in the stream", root_mark)
-                    root_mark = self.peek_event().start_mark
-                    continue
-                elif kind is yaml.StreamEndEvent:
-                    document = stack[0][0]
-                    return document[0] if document else None
-                else:
-                    continue
-                container, key = frame[0], frame[4]
-                if value is _MERGE and (key is not _KEY or type(container) is list):
-                    raise _error(f"tag {_MERGE_TAG!r} is not allowed on a scalar outside a mapping key",
-                                 mark or event.start_mark)
-                if type(container) is list:
-                    container.append(value)
-                elif key is _KEY:
-                    if value is _MERGE and frame[5] is not None:
-                        raise _error("duplicate mapping key '<<'", mark or event.start_mark)
-                    if isinstance(value, (list, dict)):
-                        raise _error("found unhashable key", mark or event.start_mark)
-                    if value in container:
-                        raise _error(f"duplicate mapping key {value!r}", mark or event.start_mark)
-                    frame[4] = value
-                elif key is _MERGE:
-                    frame[4], frame[5] = _KEY, _merged(value, mark or event.start_mark)
-                else:
-                    frame[4] = _KEY
-                    container[key] = value
-
-        def _build_scalar(self, event, tag):
-            """The value of a scalar's first occurrence in the load."""
-            if tag is None or tag == "!":
-                tag = self.resolve(yaml.ScalarNode, event.value, event.implicit)
-            if tag == _STR:
-                return event.value
-            if tag in _CONSTRUCTED:
-                node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark)
-                try:
-                    value = self.yaml_constructors[tag](self, node)
-                except ValueError as exc:  # e.g. "2001-02-30" or "!!int x12"
-                    raise _error(str(exc), event.start_mark) from None
-                except (LookupError, AttributeError):  # e.g. "!!bool x", "!!int ''" or "!!timestamp x"
-                    raise _error(f"not a valid {tag[len(_TAG):]}: {event.value!r}", event.start_mark) from None
-                # no field takes a wider int; one past the digit limit cannot be printed
-                if tag == _INT and value.bit_length() > 64:
-                    raise _error("integer out of range", event.start_mark)
-                return value
-            if tag == _MERGE_TAG:
-                return _MERGE
-            raise _error(f"tag {tag!r} is not allowed on a scalar", event.start_mark)
-
-    Strict.__name__ = Strict.__qualname__ = f"Strict{base.__name__}"
-    return Strict
+            frame = stack[-1]
+            if height > frame[3]:
+                frame[3] = height
+        elif kind is alias_event:
+            if event.anchor not in anchors:
+                raise _error(f"found undefined alias {event.anchor!r}", event.start_mark)
+            value, height, _ = anchors[event.anchor]
+            if value is _OPEN:
+                raise _error("found an alias to an enclosing collection", event.start_mark)
+            if len(stack) - 1 + height > MAX_NESTING:
+                raise _error(f"collections nested deeper than {MAX_NESTING} levels", event.start_mark)
+            frame = stack[-1]
+            if height > frame[3]:
+                frame[3] = height
+        elif kind is yaml.DocumentStartEvent:
+            if root_mark is not None:
+                raise _error("but found another document", event.start_mark,
+                             "expected a single document in the stream", root_mark)
+            root_mark = loader.peek_event().start_mark
+            continue
+        elif kind is yaml.StreamEndEvent:
+            document = stack[0][0]
+            return document[0] if document else None
+        else:
+            continue
+        container, key = frame[0], frame[4]
+        if value is _MERGE and (key is not _KEY or type(container) is list):
+            raise _error(f"tag {_MERGE_TAG!r} is not allowed on a scalar outside a mapping key",
+                         mark or event.start_mark)
+        if type(container) is list:
+            container.append(value)
+        elif key is _KEY:
+            if value is _MERGE and frame[5] is not None:
+                raise _error("duplicate mapping key '<<'", mark or event.start_mark)
+            if isinstance(value, (list, dict)):
+                raise _error("found unhashable key", mark or event.start_mark)
+            if value in container:
+                raise _error(f"duplicate mapping key {value!r}", mark or event.start_mark)
+            frame[4] = value
+        elif key is _MERGE:
+            frame[4], frame[5] = _KEY, _merged(value, mark or event.start_mark)
+        else:
+            frame[4] = _KEY
+            container[key] = value
 
 
-_StrictLoader = _strict_loader(_BASE_LOADER)
+def _scalar(loader, event, tag):
+    """The value of a scalar's first occurrence in the load."""
+    if tag is None or tag == "!":
+        tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
+    if tag == _STR:
+        return event.value
+    if tag in _CONSTRUCTED:
+        node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark)
+        try:
+            value = loader.yaml_constructors[tag](loader, node)
+        except ValueError as exc:  # e.g. "2001-02-30" or "!!int x12"
+            raise _error(str(exc), event.start_mark) from None
+        except (LookupError, AttributeError):  # e.g. "!!bool x", "!!int ''" or "!!timestamp x"
+            raise _error(f"not a valid {tag[len(_TAG):]}: {event.value!r}", event.start_mark) from None
+        # no field takes a wider int; one past the digit limit cannot be printed
+        if tag == _INT and value.bit_length() > 64:
+            raise _error("integer out of range", event.start_mark)
+        return value
+    if tag == _MERGE_TAG:
+        return _MERGE
+    raise _error(f"tag {tag!r} is not allowed on a scalar", event.start_mark)
 
 
 def _load_yaml(text: str, what: str):
     try:
-        return yaml.load(text, Loader=_StrictLoader)
+        # the pure-Python reader refuses a control character here, in its constructor
+        loader = _BASE_LOADER(text)
+        try:
+            return _document(loader)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         # PyYAML names a str input "<unicode string>"; name the document
         # kind instead (the caller names the file)
@@ -278,6 +275,12 @@ def _load_yaml(text: str, what: str):
             if mark is not None:
                 setattr(exc, attr, yaml.Mark(what, mark.index, mark.line, mark.column, mark.buffer, mark.pointer))
         raise MalformedYaml(f"{what}: {exc}") from exc
+
+
+def _shown(value) -> str:
+    """``value`` as a refusal prints it: a list or mapping by its type name,
+    since aliases can make its text exponentially longer than the file."""
+    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -294,13 +297,13 @@ def _require_list(value, where: str) -> list:
 
 def _require_str(value, where: str) -> str:
     if not isinstance(value, str) or not value:
-        raise MalformedYaml(f"{where} must be a non-empty string, got {value!r}")
+        raise MalformedYaml(f"{where} must be a non-empty string, got {_shown(value)}")
     return value
 
 
 def _require_int(value, where: str, hi: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= hi:
-        raise MalformedYaml(f"{where}: must be an integer in [0, {hi}], got {value!r}")
+        raise MalformedYaml(f"{where}: must be an integer in [0, {hi}], got {_shown(value)}")
     return value
 
 
@@ -354,7 +357,7 @@ def _parse_port(value, where: str) -> int:
         if isinstance(value, str):
             raise InvalidPort(f"{where}: port {value!r} is not a decimal number")
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidPort(f"{where}: port must be a number, got {value!r}")
+        raise InvalidPort(f"{where}: port must be a number, got {_shown(value)}")
     if not 1 <= value <= 65535:
         raise InvalidPort(f"{where}: port {value} out of range 1-65535")
     return value
@@ -476,7 +479,7 @@ def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
         ("apiVersion", API_VERSION, UnsupportedApiVersion), ("kind", KIND, UnsupportedKind)
     ):
         if data.get(key) != expected:
-            raise error(f"{key} must be {expected!r}, got {data.get(key)!r}")
+            raise error(f"{key} must be {expected!r}, got {_shown(data.get(key))}")
     warnings: list = []
     _node(data, {"apiVersion", "kind", "metadata", "spec"}, "policy document", warnings)
     metadata = _require_mapping(data.get("metadata"), "metadata")
@@ -603,12 +606,12 @@ def parse_endpoint_fields(data, where: str) -> Endpoint:
     if data.get("port") is not None:
         port = data["port"]
         if isinstance(port, bool) or not isinstance(port, int):
-            raise InvalidPort(f"{where}.port: must be an integer, got {port!r}")
+            raise InvalidPort(f"{where}.port: must be an integer, got {_shown(port)}")
         if port != 0:
             port = _parse_port(port, where)
     label = data.get("label")
     if label is not None and not isinstance(label, str):
-        raise MalformedYaml(f"{where}.label: must be a string, got {label!r}")
+        raise MalformedYaml(f"{where}.label: must be a string, got {_shown(label)}")
 
     cidr, namespace, port, label = normalize_fields(cidr, namespace, port, label)
     if cidr is None and namespace is None and port is None and label is None:
@@ -721,7 +724,7 @@ def _parse_expectation(value, action: str, where: str) -> Expectation:
         return EXPECT_OK
     if value == violation:
         return Expectation(violation_of=_ACTIONS[action][0])
-    raise MalformedYaml(f"{where}.expect: must be {ok!r} or {violation!r}, got {value!r}")
+    raise MalformedYaml(f"{where}.expect: must be {ok!r} or {violation!r}, got {_shown(value)}")
 
 
 def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) -> ScenarioScript:
@@ -738,7 +741,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
         try:
             mode = MatchMode(data["mode"])
         except ValueError:
-            raise MalformedYaml(f"scenario: mode must be 'strict' or 'semantic', got {data['mode']!r}")
+            raise MalformedYaml(f"scenario: mode must be 'strict' or 'semantic', got {_shown(data['mode'])}")
 
     endpoints: dict[str, Endpoint] = dict(symbols or {})
     policies: set[str] = set()  # names only: no step reads a policy back
@@ -768,7 +771,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
         elif action == "create_policy":
             direction = body.get("direction")
             if isinstance(direction, bool) or direction not in (0, 1):
-                raise MalformedYaml(f"{where}.direction: must be 0 or 1, got {direction!r}")
+                raise MalformedYaml(f"{where}.direction: must be 0 or 1, got {_shown(direction)}")
             first = _resolve(endpoints, body.get("first"), f"{where}.first")
             second = _resolve(endpoints, body.get("second"), f"{where}.second")
             name = declare(body, where)

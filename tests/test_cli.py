@@ -13,11 +13,13 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowcheck.cli import main, parse_endpoint_spec
-from flowcheck import Cidr, Endpoint, Namespace
+from flowcheck import Cidr, Endpoint, Namespace, ingest
 from flowcheck.errors import FlowcheckError
 from flowcheck.ingest import _ACTIONS, _APP_KEYS, _ENDPOINT_KEYS, parse_endpoint_fields
 
 from test_ingest import WORLD_POLICY
+
+BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -408,6 +410,13 @@ def _policy_with_selector(match_labels: str) -> str:
     return POLICY_WITH_EMPTY_APP_LABEL.replace('{app: ""}', match_labels)
 
 
+def _doubling_mode(levels: int) -> str:
+    """A scenario whose mode lists ``levels`` anchored lists, each holding
+    the one before it twice: the value's text doubles with every level."""
+    items = ["&l0 x"] + [f"&l{i} [*l{i - 1}, *l{i - 1}]" for i in range(1, levels + 1)]
+    return f"mode: [{', '.join(items)}]\nsteps: []\n"
+
+
 # name -> (arguments, file content); a file holding the content, if any,
 # is appended to the arguments
 MALFORMED_INPUTS = {
@@ -472,6 +481,25 @@ MALFORMED_INPUTS = {
     "policy-label-value-too-long": (
         ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=A,port=443", "--policies"],
         _policy_with_selector("{app: " + "a" * 64 + "}")),
+    "policy-label-key-bad-prefix": (
+        ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=A,port=443", "--policies"],
+        _policy_with_selector("{Bad_Prefix/app: A}")),
+    "policy-label-value-int": (
+        ["explain", "cidr=10.28.1.2/32", "namespace=NS-UI,label=A,port=443", "--policies"],
+        _policy_with_selector("{app: 5}")),
+    "policy-port-float": (
+        ["explain", "label=x", "label=y", "--policies"], POLICY_WITH_SUPERSCRIPT_PORT.replace('"\u00b2"', "4.5")),
+    "policy-egress-cidr-set-empty": (
+        ["explain", "label=x", "label=y", "--policies"],
+        _policy_with_selector("{app: A}") + "  egress: [{toCIDRSet: []}]\n"),
+    "topology-label-list": (["reachability", "--topology"], "endpoints:\n  a: {label: [x]}\n"),
+    "topology-receive-only-int": (
+        ["reachability", "--topology"],
+        "endpoints:\n  a: {label: A}\napplications:\n  - {id: 1, send: a, receive_only: 1}\n"),
+    "scenario-two-documents": (["check", "--scenario"], "steps: []\n---\nsteps: []\n"),
+    "scenario-steps-mapping": (["check", "--scenario"], "steps: {a: 1}\n"),
+    # 2**16 items deep in aliases: printed in full, the refusal was about 1 MB
+    "scenario-mode-alias-doubling": (["check", "--scenario"], _doubling_mode(16)),
 }
 
 
@@ -509,6 +537,30 @@ def test_a_scalar_refused_in_a_scenario_step_names_its_position(name, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: scenario document: ") and err.count("error:") == 1
     assert '\n  in "scenario document", line 2, column 39' in err
+
+
+# cases whose refusal no other test reaches, with the text it prints
+REFUSALS = {
+    "policy-label-key-bad-prefix": "matchLabels: invalid label key 'Bad_Prefix/app'\n",
+    "policy-label-value-int": "matchLabels: matchLabels entries must map strings to strings\n",
+    "policy-port-float": "ports[0]: port must be a number, got 4.5\n",
+    "policy-egress-cidr-set-empty": "spec.egress[0]: toCIDRSet must not be empty\n",
+    "topology-label-list": "endpoints.a.label: must be a string, got list\n",
+    "topology-receive-only-int": "applications[0].receive_only: must be a boolean\n",
+    "scenario-two-documents": "expected a single document in the stream\n",
+    "scenario-steps-mapping": "steps must be a list, got dict\n",
+    "scenario-mode-alias-doubling": "scenario: mode must be 'strict' or 'semantic', got list\n",
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_malformed_input_reaches_its_own_refusal(name, tmp_path, capsys):
+    args, content = MALFORMED_INPUTS[name]
+    path = tmp_path / "input.yaml"
+    path.write_text(content, encoding="utf-8")
+    assert main([*args, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and REFUSALS[name] in err and len(err) < 1024
 
 
 # one bad file among good ones, in the BAD slot: its error line names it
@@ -582,11 +634,15 @@ def test_a_warning_is_printed_before_a_later_file_fails_to_read(tmp_path, capsys
     assert error.startswith(f"error: cannot read {missing}: ")
 
 
+# PyYAML's pure-Python reader refuses the control character as the loader
+# is built, libyaml's as it reads
+@pytest.mark.parametrize("base", BASES, ids=lambda base: base.__name__)
 @pytest.mark.parametrize("content, mark", [
     ("endpoints:\n  a: {label: [x\n", 'in "topology document", line 2, column 14'),
     ('endpoints:\n  a: {label: "\x07"}\n', 'in "topology document", position 25'),
 ], ids=["syntax", "control-character"])
-def test_a_yaml_error_mark_names_the_document_kind(content, mark, tmp_path, capsys):
+def test_a_yaml_error_mark_names_the_document_kind(content, mark, base, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ingest, "_BASE_LOADER", base)
     path = tmp_path / "topology.yaml"
     path.write_text(content, encoding="utf-8")
     assert main(["reachability", "--topology", str(path)]) == 2

@@ -91,8 +91,8 @@ def _cases() -> dict[str, list[str]]:
 
 CASES = _cases()
 
-# the loader on libyaml's parser when PyYAML has it, and on PyYAML's own
-LOADERS = [ingest._StrictLoader] + ([ingest._strict_loader(yaml.SafeLoader)] if yaml.__with_libyaml__ else [])
+# the loader base on libyaml's parser when PyYAML has it, and PyYAML's own
+BASES = [ingest._BASE_LOADER] + ([yaml.SafeLoader] if yaml.__with_libyaml__ else [])
 
 
 @functools.cache
@@ -126,9 +126,9 @@ def test_flows_cover_reversed_denials_and_allows():
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_matches_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    for loader in LOADERS:
-        monkeypatch.setattr(ingest, "_StrictLoader", loader)
-        assert run(CASES[name]) == golden()[name], loader.__name__
+    for base in BASES:
+        monkeypatch.setattr(ingest, "_BASE_LOADER", base)
+        assert run(CASES[name]) == golden()[name], base.__name__
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from flowcheck import (
     DuplicateSymbol,
     EmptyExpansion,
     Endpoint,
+    FlowcheckError,
     InvalidCidrString,
     InvalidPort,
     MalformedYaml,
@@ -472,3 +473,39 @@ def test_listing_yaml_parses_as_expected_shape(ui_policy_text):
     raw = yaml.safe_load(ui_policy_text)
     assert raw["spec"]["ingress"][0]["fromCIDRSet"][0]["cidr"] == "10.28.1.2/30"
     assert raw["spec"]["ingress"][0]["toPorts"][0]["ports"][0]["port"] == "443"
+
+
+_POLICY_HEAD = "apiVersion: cilium.io/v2\nkind: CiliumNetworkPolicy\n"
+_POLICY_SPEC = "spec:\n  endpointSelector: {matchLabels: {app: A}}\n  ingress: [{fromCIDRSet: [{cidr: 10.0.0.0/8}], "
+
+# each refusal that prints a value it was given, handed a list or a mapping
+_SHOWN_BY_TYPE = {
+    "apiVersion": (parse_cilium_policy, "apiVersion: [a]\n", "apiVersion must be 'cilium.io/v2', got list"),
+    "kind": (parse_cilium_policy, "apiVersion: cilium.io/v2\nkind: {a: 1}\n",
+             "kind must be 'CiliumNetworkPolicy', got dict"),
+    "metadata-name": (parse_cilium_policy, _POLICY_HEAD + "metadata: {name: [a], namespace: N}\n",
+                      "metadata.name must be a non-empty string, got list"),
+    "policy-port": (parse_cilium_policy,
+                    _POLICY_HEAD + "metadata: {name: P, namespace: N}\n" + _POLICY_SPEC + "toPorts: [{ports: [{port: [1]}]}]}]\n",
+                    "port must be a number, got list"),
+    "namespace-id": (parse_topology, "endpoints:\n  a: {namespace: {name: N, id: {a: 1}}}\n",
+                     "endpoints.a.namespace.id: must be an integer in [0, 2147483647], got dict"),
+    "endpoint-port": (parse_topology, "endpoints:\n  a: {port: [1]}\n", "endpoints.a.port: must be an integer, got list"),
+    "endpoint-label": (parse_topology, "endpoints:\n  a: {label: {x: 1}}\n",
+                       "endpoints.a.label: must be a string, got dict"),
+    "expect": (parse_scenario, "steps:\n  - create_endpoint: {name: e, label: x, expect: [ok]}\n",
+               "steps[0].expect: must be 'ok' or 'violation', got list"),
+    "mode": (parse_scenario, "mode: [strict]\nsteps: []\n", "scenario: mode must be 'strict' or 'semantic', got list"),
+    "direction": (parse_scenario,
+                  "steps:\n  - create_endpoint: {name: e, label: x}\n"
+                  "  - create_policy: {name: p, first: e, second: e, direction: {a: 0}}\n",
+                  "steps[1].direction: must be 0 or 1, got dict"),
+}
+
+
+@pytest.mark.parametrize("parse, text, message", list(_SHOWN_BY_TYPE.values()), ids=list(_SHOWN_BY_TYPE))
+def test_a_refused_list_or_mapping_is_shown_by_its_type(parse, text, message):
+    # aliases can make a collection's text exponentially longer than the file
+    with pytest.raises(FlowcheckError) as raised:
+        parse(text)
+    assert str(raised.value).endswith(message)

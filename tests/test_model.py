@@ -64,6 +64,10 @@ class TestCidr:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             Cidr(10, 28, 1, "2", 30)
+
+    def test_parse_cidr_refuses_a_non_string(self):
+        with pytest.raises(InvalidCidrString, match="^CIDR must be a string, got 5$"):
+            parse_cidr(5)
         with pytest.raises(ValueError):
             Cidr(10, 28, 1, True, 30)
 
@@ -100,6 +104,16 @@ class TestNamespaceAndEndpoint:
     def test_endpoint_port_range(self, port):
         with pytest.raises(ValueError):
             Endpoint(port=port)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"cidr": "10.0.0.0/8"}, "cidr must be a Cidr, got '10.0.0.0/8'"),
+        ({"namespace": "NS-UI"}, "namespace must be a Namespace, got 'NS-UI'"),
+        ({"label": 5}, "label must be a string, got 5"),
+    ], ids=["cidr-str", "namespace-str", "label-int"])
+    def test_endpoint_refuses_a_field_of_another_type(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            Endpoint(**fields)
+        assert str(raised.value) == message
 
     def test_endpoint_port_bounds_ok(self):
         assert Endpoint(port=1).port == 1
@@ -404,6 +418,15 @@ class TestSystemState:
         assert first.policies == second.policies == {policy}
         assert first.policies.lineage is not second.policies.lineage
         assert SystemState().policies == frozenset() and SystemState().policies.lineage == []
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"send_endpoint": "a"}, "send_endpoint must be an Endpoint, got 'a'"),
+        ({"send_endpoint": Endpoint(label="a"), "receive_only": 1}, "receive_only must be a bool, got 1"),
+    ], ids=["send-str", "receive-only-int"])
+    def test_application_refuses_a_field_of_another_type(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            Application(app_id=1, **fields)
+        assert str(raised.value) == message
 
     def test_duplicate_app_ids_rejected(self):
         a1 = Application(app_id=1, send_endpoint=Endpoint(label="a"))

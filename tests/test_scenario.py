@@ -473,3 +473,8 @@ class TestWritesHandTheirTablesOn:
                     send_data(state, 1, 2, webui, mode)
         assert len(state.policies) == 20
         assert all("canonical_text" not in vars(policy) for policy in state.policies)
+
+
+def test_an_unknown_action_is_refused():
+    with pytest.raises(ValueError, match="^unknown scenario action 'fly'$"):
+        ScenarioStep("fly", {})

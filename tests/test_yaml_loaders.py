@@ -1,19 +1,20 @@
 """The YAML load path on both loader bases: libyaml's and PyYAML's own.
 
-``ingest._StrictLoader`` reads with libyaml's scanner and parser when
-PyYAML has them and with the pure-Python ones otherwise.  On either, one
-loop builds the values straight from the parser's events, with no PyYAML
-composer or ``construct_object``, so the same documents must give the
-same values or be rejected by both; the edge cases of YAML syntax where
-the parsers differ are pinned in ``KNOWN_DIFFERENCES``.  What it loads
-must equal what PyYAML's plain ``SafeLoader`` loads, and what that
-rejects it must reject too.  Scalars load under the core tags (str, null,
-bool, int of at most 64 bits, float, binary, timestamp), collections only
-as plain ``!!seq`` and ``!!map``; any other tag, a tag that does not fit
-its node, an alias to an enclosing collection and nesting past
-``MAX_NESTING`` are refused, and the nesting counts through aliases.  The
-``strict_loader`` fixture runs ``_load_yaml`` on each base, so the
-fallback stays tested on a host that has libyaml.
+``ingest._load_yaml`` reads with a loader of ``ingest._BASE_LOADER``:
+libyaml's scanner and parser when PyYAML has them, the pure-Python ones
+otherwise.  On either, ``ingest._document`` builds the values straight
+from the parser's events, with no PyYAML composer or ``construct_object``,
+so the same documents must give the same values or be rejected by both;
+the edge cases of YAML syntax where the parsers differ are pinned in
+``KNOWN_DIFFERENCES``.  What it loads must equal what PyYAML's plain
+``SafeLoader`` loads, and what that rejects it must reject too.  Scalars
+load under the core tags (str, null, bool, int of at most 64 bits, float,
+binary, timestamp), collections only as plain ``!!seq`` and ``!!map``; any
+other tag, a tag that does not fit its node, an alias to an enclosing
+collection and nesting past ``MAX_NESTING`` are refused, and the nesting
+counts through aliases.  The ``strict_loader`` fixture runs ``_load_yaml``
+with ``_BASE_LOADER`` set to each base in turn, so the fallback stays
+tested on a host that has libyaml.
 """
 
 from __future__ import annotations
@@ -27,20 +28,18 @@ from flowcheck import ingest
 
 
 BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
-LOADERS = {base.__name__: ingest._strict_loader(base) for base in BASES}
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 
 
 def test_base_is_libyaml_when_available():
-    assert ingest._StrictLoader.__bases__ == (BASES[-1],)
     assert ingest._BASE_LOADER is BASES[-1]
 
 
 @pytest.fixture(params=BASES, ids=lambda base: base.__name__)
 def strict_loader(request, monkeypatch):
     """_load_yaml, with its nesting bound, on one base."""
-    monkeypatch.setattr(ingest, "_StrictLoader", LOADERS[request.param.__name__])
+    monkeypatch.setattr(ingest, "_BASE_LOADER", request.param)
     return lambda text: ingest._load_yaml(text, "document")
 
 
@@ -218,7 +217,7 @@ def test_each_distinct_scalar_is_resolved_and_built_once_per_load(strict_loader,
         f" weight: 1.5, note: ~, flag: true, at: 2001-02-03, blob: !!binary aGk=}}\n"
         for i in range(1000)
     )
-    loader = ingest._StrictLoader
+    loader = ingest._BASE_LOADER
     resolved, built, nodes = [], [], []
     resolve, scalar_node = loader.resolve, yaml.nodes.ScalarNode.__init__
 
@@ -290,13 +289,13 @@ KNOWN_DIFFERENCES = {
 @needs_libyaml
 @pytest.mark.parametrize("text", list(KNOWN_DIFFERENCES))
 def test_known_differences(text):
-    def outcome(loader):
+    def outcome(base):
         try:
-            return yaml.load(text, Loader=loader)
+            return ingest._document(base(text))
         except yaml.YAMLError:
             return REJECTED
 
-    assert (outcome(LOADERS["CSafeLoader"]), outcome(LOADERS["SafeLoader"])) == KNOWN_DIFFERENCES[text]
+    assert (outcome(yaml.CSafeLoader), outcome(yaml.SafeLoader)) == KNOWN_DIFFERENCES[text]
 
 
 # Most leaves are valid; a few are junk that both must reject.  The anchors
@@ -363,12 +362,30 @@ def _render(tree, indent: int = 0) -> str:
     return "".join(lines)
 
 
-def _outcome(loader, text):
+def _strict(base):
+    """The strict load on ``base``, without ``_load_yaml``'s wrapping of its errors."""
+    return lambda text: ingest._document(base(text))
+
+
+def _plain(text):
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def _outcome(load, text):
     try:
         # repr compares key order too and survives recursive lists
-        return "value", repr(yaml.load(text, Loader=loader))
-    except (yaml.YAMLError, ValueError, RecursionError):
+        return "value", repr(load(text))
+    # plain PyYAML fails on some tagged scalars with KeyError, IndexError or AttributeError
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError, RecursionError):
         return "rejected", None
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda base: base.__name__)
+@pytest.mark.parametrize("text", ["a: !!bool x\n", "a: !!int ''\n", "a: !!timestamp x\n"])
+def test_a_scalar_plain_pyyaml_fails_to_build_is_rejected_by_both(base, text):
+    with pytest.raises((KeyError, IndexError, AttributeError)):
+        _plain(text)
+    assert _outcome(_strict(base), text) == _outcome(_plain, text) == ("rejected", None)
 
 
 @needs_libyaml
@@ -378,7 +395,7 @@ def test_bases_agree(items, repeat_key):
     if repeat_key and items:
         items = [*items, items[0]]  # a duplicate key
     text = _PREAMBLE + (_render(("map", False, "", items)) if items else "")
-    assert _outcome(LOADERS["CSafeLoader"], text) == _outcome(LOADERS["SafeLoader"], text), text
+    assert _outcome(_strict(yaml.CSafeLoader), text) == _outcome(_strict(yaml.SafeLoader), text), text
 
 
 # --- plain PyYAML is the oracle ---------------------------------------------
@@ -393,5 +410,5 @@ def test_loads_what_plain_safe_loader_loads(base, items, repeat_key):
     if repeat_key and items:
         items = [*items, items[0]]
     text = _PREAMBLE + (_render(("map", False, "", items)) if items else "")
-    strict, plain = _outcome(LOADERS[base.__name__], text), _outcome(yaml.SafeLoader, text)
+    strict, plain = _outcome(_strict(base), text), _outcome(_plain, text)
     assert strict[0] == "rejected" or strict == plain, text
