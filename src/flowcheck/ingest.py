@@ -736,12 +736,12 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
     """
     data = _node(_require_mapping(_load_yaml(text, "scenario document"), "scenario document"),
                  {"mode", "steps"}, "scenario")
-    mode = None
-    if data.get("mode") is not None:
-        try:
-            mode = MatchMode(data["mode"])
-        except ValueError:
-            raise MalformedYaml(f"scenario: mode must be 'strict' or 'semantic', got {_shown(data['mode'])}")
+    mode = data.get("mode")
+    if mode is not None:
+        # not MatchMode's own refusal: its message would repr a list in full
+        if mode not in ("strict", "semantic"):
+            raise MalformedYaml(f"scenario: mode must be 'strict' or 'semantic', got {_shown(mode)}")
+        mode = MatchMode(mode)
 
     endpoints: dict[str, Endpoint] = dict(symbols or {})
     policies: set[str] = set()  # names only: no step reads a policy back

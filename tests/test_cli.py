@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -410,11 +411,16 @@ def _policy_with_selector(match_labels: str) -> str:
     return POLICY_WITH_EMPTY_APP_LABEL.replace('{app: ""}', match_labels)
 
 
-def _doubling_mode(levels: int) -> str:
-    """A scenario whose mode lists ``levels`` anchored lists, each holding
-    the one before it twice: the value's text doubles with every level."""
+def _doubling_list(levels: int) -> str:
+    """A flow list of ``levels`` anchored lists, each holding the one before
+    it twice: the value's text doubles with every level."""
     items = ["&l0 x"] + [f"&l{i} [*l{i - 1}, *l{i - 1}]" for i in range(1, levels + 1)]
-    return f"mode: [{', '.join(items)}]\nsteps: []\n"
+    return f"[{', '.join(items)}]"
+
+
+def _doubling_mode(levels: int) -> str:
+    """A scenario whose mode is ``_doubling_list(levels)``."""
+    return f"mode: {_doubling_list(levels)}\nsteps: []\n"
 
 
 # name -> (arguments, file content); a file holding the content, if any,
@@ -561,6 +567,34 @@ def test_a_malformed_input_reaches_its_own_refusal(name, tmp_path, capsys):
     assert main([*args, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and REFUSALS[name] in err and len(err) < 1024
+
+
+# each refusal that quotes a value, with the value in the VALUE slot
+ALIASED_VALUES = {
+    "scenario-mode": (ingest.parse_scenario, "mode: VALUE\nsteps: []\n"),
+    "scenario-direction": (
+        ingest.parse_scenario, "steps:\n  - create_policy: {name: p, first: a, second: b, direction: VALUE}\n"),
+    "scenario-expect": (ingest.parse_scenario, "steps:\n  - send_data: {expect: VALUE}\n"),
+    "scenario-from": (ingest.parse_scenario, "steps:\n  - send_data: {from: VALUE, to: 1, endpoint: a}\n"),
+    "scenario-name": (ingest.parse_scenario, "steps:\n  - create_endpoint: {name: VALUE, label: x}\n"),
+    "topology-label": (ingest.parse_topology, "endpoints:\n  a: {label: VALUE}\n"),
+    "topology-port": (ingest.parse_topology, "endpoints:\n  a: {port: VALUE}\n"),
+    "policy-api-version": (ingest.parse_cilium_policy, "apiVersion: VALUE\n"),
+}
+
+
+@pytest.mark.parametrize("parse, template", list(ALIASED_VALUES.values()), ids=list(ALIASED_VALUES))
+def test_a_refused_alias_chain_is_never_rendered(parse, template):
+    # 2**22 items deep in aliases: the value rendered in full is about 60 MB of text
+    text = template.replace("VALUE", _doubling_list(22))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FlowcheckError, match="got list$"):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 # one bad file among good ones, in the BAD slot: its error line names it

@@ -64,12 +64,12 @@ class TestCidr:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             Cidr(10, 28, 1, "2", 30)
+        with pytest.raises(ValueError):
+            Cidr(10, 28, 1, True, 30)
 
     def test_parse_cidr_refuses_a_non_string(self):
         with pytest.raises(InvalidCidrString, match="^CIDR must be a string, got 5$"):
             parse_cidr(5)
-        with pytest.raises(ValueError):
-            Cidr(10, 28, 1, True, 30)
 
     def test_parse_round_trip(self):
         assert parse_cidr("10.28.1.2/30") == Cidr(10, 28, 1, 2, 30)
