@@ -26,8 +26,7 @@ from .errors import (
 )
 from .ingest import (
     CiliumPolicyDoc,
-    EgressRule,
-    IngressRule,
+    Rule,
     ScenarioScript,
     assemble_state,
     expand_rules,

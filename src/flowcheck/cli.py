@@ -81,11 +81,12 @@ def _policy_json(policy) -> dict:
     return data
 
 
-def parse_endpoint_spec(spec: str) -> Endpoint:
+def parse_endpoint_spec(spec: str, role: str = "endpoint spec") -> Endpoint:
     """Parse a command-line endpoint: comma-separated key=value pairs.
 
     Keys: cidr, namespace (NAME or NAME/ID), port, label.
-    Example: "namespace=NS-UI,label=WebUI,port=443".
+    Example: "namespace=NS-UI,label=WebUI,port=443".  A refusal names the
+    spec by ``role`` (sender or receiver), never by its text.
     """
     fields = {}
     for part in spec.split(","):
@@ -95,17 +96,17 @@ def parse_endpoint_spec(spec: str) -> Endpoint:
         key, sep, value = part.partition("=")
         key = key.strip()
         if not sep:
-            raise FlowcheckError(f"bad endpoint spec component {part!r}")
+            raise FlowcheckError(f"{role}: bad component {part!r}")
         if key in fields:
-            raise FlowcheckError(f"duplicate endpoint spec key {key!r}")
+            raise FlowcheckError(f"{role}: duplicate key {key!r}")
         fields[key] = value.strip()
     if "namespace" in fields:
         name, sep, ns_id = fields["namespace"].partition("/")
         if sep:
-            fields["namespace"] = {"name": name, "id": parse_decimal(ns_id)}
+            fields["namespace"] = {"name": name, "id": parse_decimal(ns_id, f"{role}.namespace.id")}
     if "port" in fields:
-        fields["port"] = parse_decimal(fields["port"])
-    return parse_endpoint_fields(fields, f"endpoint spec {spec!r}")
+        fields["port"] = parse_decimal(fields["port"], f"{role}.port")
+    return parse_endpoint_fields(fields, role)
 
 
 def _ensure_host_cidrs(endpoints, what: str) -> None:
@@ -218,8 +219,8 @@ def cmd_explain(args) -> int:
             "since --policies reads every argument up to the next option as a file"
         )
     policies = PolicySet(_load_policies(args.policies))
-    sender = parse_endpoint_spec(args.sender)
-    receiver = parse_endpoint_spec(args.receiver)
+    sender = parse_endpoint_spec(args.sender, "sender")
+    receiver = parse_endpoint_spec(args.receiver, "receiver")
     mode = MatchMode(args.mode) if args.mode else MatchMode.STRICT
     if mode is MatchMode.SEMANTIC:
         _ensure_host_cidrs([sender, receiver], "sender/receiver endpoints")

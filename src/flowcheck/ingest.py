@@ -5,8 +5,10 @@ Three input formats:
 * CiliumNetworkPolicy YAML (the accepted subset): ``endpointSelector``
   with ``matchLabels``, ingress rules with ``fromCIDRSet`` /
   ``fromEndpoints`` / ``toPorts``, egress rules with ``toCIDRSet`` /
-  ``toPorts``.  ``expand_rules`` flattens one document into single-pair
-  policies, one per (rule, source, port) combination.
+  ``toPorts``.  Each rule parses into its peers and ports, and
+  ``expand_rules`` flattens one document into single-pair policies, one
+  per (rule, peer, port); the receiver takes the port; egress rule
+  indexes follow the ingress ones.
 * Topology YAML: named endpoints plus the applications that use them,
   each parsed into the arguments of a deploy_application step.
 * Scenario YAML: a ``mode`` and a ``steps`` list; each step is one of the
@@ -30,8 +32,8 @@ Scenario and topology endpoint fields use sentinel values for
 "unconstrained" (cidr 0.0.0.0/0, namespace "-", port 0, empty label);
 those are normalized to absent here.  Policy documents are not sentinel
 filtered: a 0.0.0.0/0 CIDR in a rule is a real match-everything block,
-which ``expand_rules`` writes as its two /1 halves, since the model reads
-a /0 endpoint as "no address needed".
+which parses into two peers, its /1 halves, since the model reads a /0
+endpoint as "no address needed".
 """
 
 from __future__ import annotations
@@ -345,15 +347,20 @@ def _nodes(value, allowed, where: str, warnings: Optional[list] = None):
         yield f"{where}[{i}]", _node(entry, allowed, f"{where}[{i}]", warnings)
 
 
-def parse_decimal(text: str):
-    """``text`` as an int if it is 1 to 20 ASCII digits, else ``text`` unchanged."""
-    return int(text) if text.isascii() and text.isdigit() and len(text) <= 20 else text
+def parse_decimal(text: str, where: str):
+    """``text`` as an int if it is ASCII digits, else ``text`` unchanged.  Past
+    20 digits it is out of every field's range, and refused by its length."""
+    if not (text.isascii() and text.isdigit()):
+        return text
+    if len(text) > 20:
+        raise MalformedYaml(f"{where}: out of range, more than 20 digits")
+    return int(text)
 
 
 def _parse_port(value, where: str) -> int:
     """Accepts quoted decimal strings (the Cilium convention) or ints."""
     if isinstance(value, str):
-        value = parse_decimal(value)
+        value = parse_decimal(value, f"{where}.port")
         if isinstance(value, str):
             raise InvalidPort(f"{where}: port {value!r} is not a decimal number")
     if isinstance(value, bool) or not isinstance(value, int):
@@ -364,20 +371,12 @@ def _parse_port(value, where: str) -> int:
 
 
 @dataclass(frozen=True)
-class IngressRule:
-    """One ingress rule: sources (CIDRs and/or endpoint selectors) and ports."""
+class Rule:
+    """One ingress or egress rule: its peers, the policy endpoints on the
+    other side of it, and its ports."""
 
-    from_cidr_set: tuple[Cidr, ...] = ()
-    from_endpoints: tuple[Mapping[str, str], ...] = ()
-    to_ports: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class EgressRule:
-    """One egress rule: destination CIDRs and ports."""
-
-    to_cidr_set: tuple[Cidr, ...]
-    to_ports: tuple[int, ...] = ()
+    peers: tuple[Endpoint, ...]
+    ports: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -385,15 +384,15 @@ class CiliumPolicyDoc:
     name: str
     namespace: str
     endpoint_selector: Mapping[str, str]
-    ingress_rules: tuple[IngressRule, ...] = ()
-    egress_rules: tuple[EgressRule, ...] = ()
+    ingress_rules: tuple[Rule, ...] = ()
+    egress_rules: tuple[Rule, ...] = ()
     warnings: tuple[str, ...] = ()
 
 
 # Kubernetes label syntax: a value, and the name part of a key, is 1 to 63
 # characters, alphanumeric at both ends with "-", "_" and "." between; a key
 # may start with a DNS-subdomain prefix and "/".  Neither can hold "," or
-# "=", so the label string _selector_parts folds them into is unambiguous.
+# "=", so the label string _selector_label folds them into is unambiguous.
 _LABEL_NAME = re.compile(r"[A-Za-z0-9]([-A-Za-z0-9_.]{0,61}[A-Za-z0-9])?")
 _DNS_SUBDOMAIN = re.compile(r"[a-z0-9]([-a-z0-9]*[a-z0-9])?(\.[a-z0-9]([-a-z0-9]*[a-z0-9])?)*")
 
@@ -427,24 +426,40 @@ def _parse_to_ports(value, where: str, warnings: list) -> tuple[int, ...]:
     return tuple(ports)
 
 
-def _parse_cidr_set(value, where: str, warnings: list) -> tuple[Cidr, ...]:
-    cidrs = []
+def _selector_label(labels: Mapping[str, str]) -> Optional[str]:
+    """The label string of a matchLabels map: the ``app`` value leads and
+    every other label follows as ``key=value``, sorted by key, so none is
+    lost."""
+    parts = [labels["app"]] if "app" in labels else []
+    parts.extend(f"{key}={labels[key]}" for key in sorted(labels) if key != "app")
+    return ",".join(parts) or None
+
+
+# the halves of 0.0.0.0/0: every address, but only an address
+_WORLD_HALVES = (Endpoint(cidr=Cidr(0, 0, 0, 0, 1)), Endpoint(cidr=Cidr(128, 0, 0, 0, 1)))
+
+
+def _parse_cidr_set(value, where: str, warnings: list) -> list[Endpoint]:
+    """A CIDR set's peers, with 0.0.0.0/0 split into its /1 halves."""
+    peers = []
     for entry_where, entry in _nodes(value, {"cidr"}, where, warnings):
-        cidr = _require_str(_require_key(entry, "cidr", entry_where), f"{entry_where}.cidr")
-        cidrs.append(parse_cidr(cidr))
-    return tuple(cidrs)
+        cidr = parse_cidr(_require_str(_require_key(entry, "cidr", entry_where), f"{entry_where}.cidr"))
+        peers.extend(_WORLD_HALVES if cidr == SENTINEL_CIDR else [Endpoint(cidr=cidr)])
+    return peers
 
 
-def _parse_ingress_rule(rule: Mapping, where: str, warnings: list) -> IngressRule:
-    from_cidrs = _parse_cidr_set(rule.get("fromCIDRSet", []), f"{where}.fromCIDRSet", warnings)
-    from_endpoints = tuple(
-        _parse_selector(entry, f"{where}.fromEndpoints[{i}]", warnings)
-        for i, entry in enumerate(_require_list(rule.get("fromEndpoints", []), f"{where}.fromEndpoints"))
-    )
-    if not from_cidrs and not from_endpoints:
+def _parse_ingress_rule(rule: Mapping, where: str, namespace: str, warnings: list) -> Rule:
+    """An ingress rule's CIDR peers, then one peer per fromEndpoints entry:
+    its namespace label names the peer's namespace (the document's when
+    absent), and its other labels fold into the peer's label."""
+    peers = _parse_cidr_set(rule.get("fromCIDRSet", []), f"{where}.fromCIDRSet", warnings)
+    for i, entry in enumerate(_require_list(rule.get("fromEndpoints", []), f"{where}.fromEndpoints")):
+        labels = _parse_selector(entry, f"{where}.fromEndpoints[{i}]", warnings)
+        peer_ns = Namespace(labels.pop(NAMESPACE_LABEL_KEY, namespace), DEFAULT_NAMESPACE_ID)
+        peers.append(Endpoint(namespace=peer_ns, label=_selector_label(labels)))
+    if not peers:
         raise MalformedYaml(f"{where}: needs at least one of fromCIDRSet, fromEndpoints")
-    to_ports = _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings)
-    return IngressRule(from_cidr_set=from_cidrs, from_endpoints=from_endpoints, to_ports=to_ports)
+    return Rule(tuple(peers), _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings))
 
 
 # Cilium's egress destinations besides toCIDRSet, none of them modeled
@@ -455,16 +470,15 @@ _EGRESS_PEERS = {
 }
 
 
-def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> EgressRule:
-    peers = [] if "toCIDRSet" in rule else [f"{key!r} ({_EGRESS_PEERS[key]})" for key in rule if key in _EGRESS_PEERS]
-    if peers:  # named here, since the missing toCIDRSet would fail before the warnings are read
-        verb = "is" if len(peers) == 1 else "are"
-        raise MalformedYaml(f"{where}: {', '.join(peers)} {verb} not modeled; egress needs 'toCIDRSet'")
-    to_cidrs = _parse_cidr_set(_require_key(rule, "toCIDRSet", where), f"{where}.toCIDRSet", warnings)
-    if not to_cidrs:
+def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> Rule:
+    named = [] if "toCIDRSet" in rule else [f"{key!r} ({_EGRESS_PEERS[key]})" for key in rule if key in _EGRESS_PEERS]
+    if named:  # named here, since the missing toCIDRSet would fail before the warnings are read
+        verb = "is" if len(named) == 1 else "are"
+        raise MalformedYaml(f"{where}: {', '.join(named)} {verb} not modeled; egress needs 'toCIDRSet'")
+    peers = _parse_cidr_set(_require_key(rule, "toCIDRSet", where), f"{where}.toCIDRSet", warnings)
+    if not peers:
         raise MalformedYaml(f"{where}: toCIDRSet must not be empty")
-    to_ports = _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings)
-    return EgressRule(to_cidr_set=to_cidrs, to_ports=to_ports)
+    return Rule(tuple(peers), _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings))
 
 
 def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
@@ -488,7 +502,7 @@ def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
     spec = _node(data.get("spec"), {"endpointSelector", "ingress", "egress"}, "spec", warnings)
     selector = _parse_selector(spec.get("endpointSelector"), "spec.endpointSelector", warnings)
     ingress_rules = tuple(
-        _parse_ingress_rule(rule, where, warnings)
+        _parse_ingress_rule(rule, where, namespace, warnings)
         for where, rule in _nodes(
             spec.get("ingress", []), {"fromCIDRSet", "fromEndpoints", "toPorts"}, "spec.ingress", warnings
         )
@@ -507,70 +521,27 @@ def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
     )
 
 
-def _selector_parts(match_labels: Mapping[str, str], namespace_key_special: bool):
-    """Label string (and namespace override) from a matchLabels map.
-
-    The ``app`` value leads; any other keys are appended as sorted
-    ``key=value`` pairs so unrecognized labels stay lossless.
-    """
-    ns_name = None
-    extras = []
-    for key in sorted(match_labels):
-        if key == "app":
-            continue
-        if namespace_key_special and key == NAMESPACE_LABEL_KEY:
-            ns_name = match_labels[key]
-            continue
-        extras.append(f"{key}={match_labels[key]}")
-    parts = ([match_labels["app"]] if "app" in match_labels else []) + extras
-    return (",".join(parts) if parts else None), ns_name
-
-
-# the halves of 0.0.0.0/0: every address, but only an address
-_WORLD_HALVES = (Cidr(0, 0, 0, 0, 1), Cidr(128, 0, 0, 0, 1))
-
-
-def _blocks(cidrs: tuple[Cidr, ...]) -> list[Cidr]:
-    """A rule's CIDR set, with 0.0.0.0/0 split into its /1 halves."""
-    return [half for cidr in cidrs for half in (_WORLD_HALVES if cidr == SENTINEL_CIDR else (cidr,))]
-
-
 def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
     """Flatten one policy document into single-pair policies.
 
-    Each ingress rule contributes one ingress policy per (source, port):
-    the selected endpoint (document namespace, selector label, the port)
-    paired with the peer (a CIDR, or namespace+label from fromEndpoints).
-    Each egress rule contributes one egress policy per (CIDR, port): the
-    selected endpoint without a port, paired with CIDR+port.  A 0.0.0.0/0
-    block counts as its two /1 halves.
+    Each rule contributes one policy per (peer, port): the selected
+    endpoint (document namespace, selector label) paired with the peer,
+    where the receiver takes the port: the selected endpoint on ingress,
+    the peer on egress.  Egress rule indexes follow the ingress ones.
     """
-    selected_ns = Namespace(doc.namespace, DEFAULT_NAMESPACE_ID)
-    selector_label, _ = _selector_parts(doc.endpoint_selector, namespace_key_special=False)
-
+    selected = Endpoint(namespace=Namespace(doc.namespace, DEFAULT_NAMESPACE_ID),
+                        label=_selector_label(doc.endpoint_selector))
+    rules = [(Direction.INGRESS, rule) for rule in doc.ingress_rules]
+    rules += [(Direction.EGRESS, rule) for rule in doc.egress_rules]
     policies: list[Policy] = []
-    for rule_index, rule in enumerate(doc.ingress_rules):
+    for rule_index, (direction, rule) in enumerate(rules):
         origin = PolicyOrigin(doc.name, rule_index)
-        peers = [Endpoint(cidr=cidr) for cidr in _blocks(rule.from_cidr_set)]
-        for labels in rule.from_endpoints:
-            label, ns_override = _selector_parts(labels, namespace_key_special=True)
-            peer_ns = Namespace(ns_override or doc.namespace, DEFAULT_NAMESPACE_ID)
-            peers.append(Endpoint(namespace=peer_ns, label=label))
-        for peer in peers:
-            for port in rule.to_ports or (None,):
-                selected = Endpoint(namespace=selected_ns, port=port, label=selector_label)
-                policies.append(
-                    Policy(pair=(selected, peer), direction=Direction.INGRESS, origin=origin)
-                )
-    for rule_index, rule in enumerate(doc.egress_rules, start=len(doc.ingress_rules)):
-        origin = PolicyOrigin(doc.name, rule_index)
-        selected = Endpoint(namespace=selected_ns, label=selector_label)
-        for cidr in _blocks(rule.to_cidr_set):
-            for port in rule.to_ports or (None,):
-                peer = Endpoint(cidr=cidr, port=port)
-                policies.append(
-                    Policy(pair=(selected, peer), direction=Direction.EGRESS, origin=origin)
-                )
+        for peer in rule.peers:
+            receiver = selected if direction is Direction.INGRESS else peer
+            for port in rule.ports or (None,):
+                received = Endpoint(receiver.cidr, receiver.namespace, port, receiver.label)
+                pair = (received, peer) if direction is Direction.INGRESS else (selected, received)
+                policies.append(Policy(pair=pair, direction=direction, origin=origin))
 
     if not policies:
         raise EmptyExpansion(f"policy document {doc.name!r} produced no policies")

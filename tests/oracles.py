@@ -6,7 +6,9 @@ enumeration is infeasible) and transfer permission by literally walking
 the policy set with structural equality (strict mode) or field-by-field
 constraints (semantic mode).  ``first_failure`` names the predicate
 ``explain`` reports for one policy, field by field in the README's order.
-``tests/test_oracle_independence.py`` pins what this file may import.
+``expand`` restates, from a policy document's YAML dict, the policies
+``expand_rules`` must give for it.  ``tests/test_oracle_independence.py``
+pins what this file may import.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from flowcheck import (
     Endpoint,
     Namespace,
     Policy,
+    PolicyOrigin,
     SystemState,
 )
 from flowcheck.model import policy_to_dict
@@ -162,6 +165,70 @@ def state_fingerprint(state: SystemState):
         frozenset(state.endpoints),
         tuple(sorted((aid, tuple(id(m) for m in msgs)) for aid, msgs in state.app_data.items())),
     )
+
+
+# --- policy documents --------------------------------------------------------
+
+
+def _label(match_labels: dict):
+    """A matchLabels map as one label: the app value first, then each other
+    label as key=value, in key order; None for no labels."""
+    parts = [match_labels["app"]] if "app" in match_labels else []
+    parts += [f"{key}={value}" for key, value in sorted(match_labels.items()) if key != "app"]
+    return ",".join(parts) or None
+
+
+_WORLD = ipaddress.IPv4Interface("0.0.0.0/0")
+
+
+def _cidr_peers(cidr_set: list) -> list[Endpoint]:
+    """One endpoint per block, as written; 0.0.0.0/0 is its two /1 halves."""
+    peers = []
+    for entry in cidr_set:
+        block = ipaddress.IPv4Interface(entry["cidr"])
+        if block == _WORLD:
+            peers += [Endpoint(cidr=Cidr(0, 0, 0, 0, 1)), Endpoint(cidr=Cidr(128, 0, 0, 0, 1))]
+        else:
+            peers.append(Endpoint(cidr=Cidr(*block.ip.packed, block.network.prefixlen)))
+    return peers
+
+
+def _ports(rule: dict) -> list:
+    return [int(entry["port"]) for block in rule.get("toPorts", []) for entry in block.get("ports", [])] or [None]
+
+
+def expand(doc: dict) -> list[Policy]:
+    """The policies a CiliumNetworkPolicy document (its YAML dict) stands
+    for, in order.  Each ingress rule gives, per peer and port, (selected
+    endpoint with the port, peer): its CIDR blocks first, then one peer per
+    fromEndpoints selector, in the namespace its
+    ``io.kubernetes.pod.namespace`` label names (the document's when it has
+    none) and labelled by its other labels.  Each egress rule, numbered
+    after every ingress rule, gives (selected endpoint, block with the
+    port).  The selected endpoint is the document's namespace (id 1) and
+    every endpointSelector label."""
+    name, namespace = doc["metadata"]["name"], doc["metadata"]["namespace"]
+    spec = doc["spec"]
+    label = _label(spec["endpointSelector"].get("matchLabels", {}))
+    policies = []
+    ingress, egress = spec.get("ingress", []), spec.get("egress", [])
+    for index, rule in enumerate(ingress):
+        peers = _cidr_peers(rule.get("fromCIDRSet", []))
+        for selector in rule.get("fromEndpoints", []):
+            match_labels = dict(selector.get("matchLabels", {}))
+            peer_namespace = Namespace(match_labels.pop("io.kubernetes.pod.namespace", namespace), 1)
+            peers.append(Endpoint(namespace=peer_namespace, label=_label(match_labels)))
+        for peer in peers:
+            for port in _ports(rule):
+                selected = Endpoint(namespace=Namespace(namespace, 1), port=port, label=label)
+                policies.append(Policy((selected, peer), Direction.INGRESS, PolicyOrigin(name, index)))
+    for index, rule in enumerate(egress, start=len(ingress)):
+        selected = Endpoint(namespace=Namespace(namespace, 1), label=label)
+        for peer in _cidr_peers(rule["toCIDRSet"]):
+            for port in _ports(rule):
+                receiver = Endpoint(cidr=peer.cidr, port=port)
+                policies.append(Policy((selected, receiver), Direction.EGRESS, PolicyOrigin(name, index)))
+    return policies
 
 
 # --- random system corpus ----------------------------------------------------

@@ -309,6 +309,21 @@ class TestExplain:
     def test_malformed_spec(self, capsys):
         assert main(["explain", "bogus", "also=bogus", "--policies", UI_POLICY]) == 2
 
+    # a number past 20 digits is out of every field's range: it is refused
+    # by its length, and the spec is named by its role, not repeated
+    @pytest.mark.parametrize("sender, receiver, policy_port, where", [
+        ("label=x", "label=y,port=" + "9" * 5000, "443", "receiver.port"),
+        ("label=x,namespace=NS/" + "9" * 25, "label=y", "443", "sender.namespace.id"),
+        ("label=x", "label=y", "9" * 3000, "spec.ingress[0].toPorts[0].ports[0].port"),
+    ], ids=["spec-port", "spec-namespace-id", "policy-port"])
+    def test_too_many_digits_are_out_of_range(self, tmp_path, capsys, sender, receiver, policy_port, where):
+        policy = tmp_path / "policy.yaml"
+        policy.write_text(POLICY_WITH_SUPERSCRIPT_PORT.replace("\u00b2", policy_port), encoding="utf-8")
+        assert main(["explain", sender, receiver, "--policies", str(policy)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 1024
+        assert f"{where}: out of range" in err
+
     def test_json_format(self, capsys):
         code = main(
             [

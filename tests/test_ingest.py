@@ -18,6 +18,7 @@ from flowcheck import (
     MatchMode,
     Namespace,
     Policy,
+    Rule,
     SystemState,
     UnknownEndpointReference,
     UnsupportedApiVersion,
@@ -64,11 +65,7 @@ class TestParseCiliumPolicy:
         assert doc.name == "UIPolicy"
         assert doc.namespace == "NS-UI"
         assert doc.endpoint_selector == {"app": "WebUI"}
-        assert len(doc.ingress_rules) == 1
-        rule = doc.ingress_rules[0]
-        assert rule.from_cidr_set == (Cidr(10, 28, 1, 2, 30),)
-        assert rule.from_endpoints == ()
-        assert rule.to_ports == (443,)
+        assert doc.ingress_rules == (Rule(peers=(Endpoint(cidr=Cidr(10, 28, 1, 2, 30)),), ports=(443,)),)
         assert doc.egress_rules == ()
         assert doc.warnings == ()
 
@@ -76,14 +73,11 @@ class TestParseCiliumPolicy:
         doc = parse_cilium_policy(command_policy_text)
         assert doc.name == "Command-Policy"
         assert doc.namespace == "NS-Command"
-        assert len(doc.ingress_rules) == 1
-        assert doc.ingress_rules[0].from_endpoints == (
-            {"app": "WebUI", "io.kubernetes.pod.namespace": "NS-UI"},
+        # the selector's namespace label names the peer's namespace
+        assert doc.ingress_rules == (
+            Rule(peers=(Endpoint(namespace=Namespace("NS-UI", 1), label="WebUI"),), ports=()),
         )
-        assert doc.ingress_rules[0].to_ports == ()
-        assert len(doc.egress_rules) == 1
-        assert doc.egress_rules[0].to_cidr_set == (Cidr(10, 29, 1, 23, 28),)
-        assert doc.egress_rules[0].to_ports == (5443,)
+        assert doc.egress_rules == (Rule(peers=(Endpoint(cidr=Cidr(10, 29, 1, 23, 28)),), ports=(5443,)),)
         assert doc.warnings == ()
 
     def test_wrong_api_version(self, ui_policy_text):
@@ -117,7 +111,7 @@ class TestParseCiliumPolicy:
         text = ui_policy_text.replace('- port: "443"', '- port: "443"\n              protocol: TCP')
         doc = parse_cilium_policy(text)
         assert any("protocol" in w for w in doc.warnings)
-        assert doc.ingress_rules[0].to_ports == (443,)
+        assert doc.ingress_rules[0].ports == (443,)
 
     def test_ingress_rule_without_sources_rejected(self):
         text = """
@@ -274,10 +268,7 @@ spec:
 
     def test_expansion_count_formula(self, command_policy_text):
         doc = parse_cilium_policy(command_policy_text)
-        expected = sum(
-            (len(r.from_cidr_set) + len(r.from_endpoints)) * max(1, len(r.to_ports))
-            for r in doc.ingress_rules
-        ) + sum(len(r.to_cidr_set) * max(1, len(r.to_ports)) for r in doc.egress_rules)
+        expected = sum(len(r.peers) * max(1, len(r.ports)) for r in doc.ingress_rules + doc.egress_rules)
         assert len(expand_rules(doc)) == expected
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from types import ModuleType
 
 ORACLES = Path(__file__).resolve().with_name("oracles.py")
-FORBIDDEN_MODULES = ("flowcheck.matching", "flowcheck.scenario")
+FORBIDDEN_MODULES = ("flowcheck.matching", "flowcheck.scenario", "flowcheck.ingest")
 FORBIDDEN_NAMES = {"normalize_fields", "normalized"}
 
 

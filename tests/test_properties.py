@@ -45,7 +45,7 @@ from flowcheck import (
 )
 from flowcheck.matching import permitting
 from flowcheck.model import SENTINEL_CIDR, SENTINEL_NAMESPACE
-from oracles import canonical_rank, first_failure, permits
+from oracles import canonical_rank, expand, first_failure, permits
 
 # small pools keep collisions (and therefore matches) likely
 cidr_st = st.builds(
@@ -280,33 +280,45 @@ class TestMatchProperties:
             assert verdict.matched_policy is None
 
 
-# random policy documents for the expansion-count property
+# random policy documents for the expansion properties
 
-rule_ingress_st = st.builds(
-    dict,
-    fromCIDRSet=st.lists(
-        st.builds(lambda a, b: {"cidr": f"10.{a}.{b}.0/24"}, st.integers(0, 3), st.integers(0, 3)),
-        max_size=3,
-    ),
-    fromEndpoints=st.lists(
-        st.builds(lambda label: {"matchLabels": {"app": label}}, st.sampled_from(["A", "B"])),
-        max_size=2,
-    ),
-    toPorts=st.lists(st.sampled_from(["80", "443", "8080"]), max_size=3, unique=True),
-).filter(lambda r: r["fromCIDRSet"] or r["fromEndpoints"])
-
-rule_egress_st = st.builds(
-    dict,
-    toCIDRSet=st.lists(
-        st.builds(lambda a: {"cidr": f"10.9.{a}.0/24"}, st.integers(0, 5)),
-        min_size=1,
-        max_size=3,
-    ),
-    toPorts=st.lists(st.sampled_from(["5443", "53"]), max_size=2, unique=True),
-)
+ingress_cidr_st = st.builds(lambda a, b: {"cidr": f"10.{a}.{b}.0/24"}, st.integers(0, 3), st.integers(0, 3))
+egress_cidr_st = st.builds(lambda a: {"cidr": f"10.9.{a}.0/24"}, st.integers(0, 5))
+app_selector_st = st.builds(lambda label: {"matchLabels": {"app": label}}, st.sampled_from(["A", "B"]))
+world_st = st.just({"cidr": "0.0.0.0/0"})
+# any of an app, a namespace and a tier label, none of them included
+match_labels_st = st.fixed_dictionaries({}, optional={
+    "app": st.sampled_from(["A", "B"]),
+    "io.kubernetes.pod.namespace": st.sampled_from(["NS-R", "NS-O"]),
+    "tier": st.sampled_from(["web", "db"]),
+})
 
 
-def _doc_dict(ingress, egress):
+def rule_ingress(cidr, selector):
+    return st.builds(
+        dict,
+        fromCIDRSet=st.lists(cidr, max_size=3),
+        fromEndpoints=st.lists(selector, max_size=2),
+        toPorts=st.lists(st.sampled_from(["80", "443", "8080"]), max_size=3, unique=True),
+    ).filter(lambda r: r["fromCIDRSet"] or r["fromEndpoints"])
+
+
+def rule_egress(cidr):
+    return st.builds(
+        dict,
+        toCIDRSet=st.lists(cidr, min_size=1, max_size=3),
+        toPorts=st.lists(st.sampled_from(["5443", "53"]), max_size=2, unique=True),
+    )
+
+
+rule_ingress_st = rule_ingress(ingress_cidr_st, app_selector_st)
+rule_egress_st = rule_egress(egress_cidr_st)
+# adds 0.0.0.0/0 and selectors with a namespace label or an extra label
+wide_rule_ingress_st = rule_ingress(ingress_cidr_st | world_st, match_labels_st.map(lambda m: {"matchLabels": m}))
+wide_rule_egress_st = rule_egress(egress_cidr_st | world_st)
+
+
+def _doc_dict(ingress, egress, selected=None):
     def ports_block(ports):
         return [{"ports": [{"port": p} for p in ports]}] if ports else None
 
@@ -326,7 +338,7 @@ def _doc_dict(ingress, egress):
         if ports_block(r["toPorts"]):
             block["toPorts"] = ports_block(r["toPorts"])
         spec_egress.append(block)
-    spec = {"endpointSelector": {"matchLabels": {"app": "X"}}}
+    spec = {"endpointSelector": {"matchLabels": {"app": "X"} if selected is None else selected}}
     if spec_ingress:
         spec["ingress"] = spec_ingress
     if spec_egress:
@@ -351,6 +363,18 @@ class TestExpansionProperties:
             for r in ingress
         ) + sum(len(r["toCIDRSet"]) * max(1, len(r["toPorts"])) for r in egress)
         assert len(expand_rules(doc)) == expected
+
+    @given(st.lists(wide_rule_ingress_st, max_size=3), st.lists(wide_rule_egress_st, max_size=3), match_labels_st)
+    def test_expansion_matches_the_oracle(self, ingress, egress, selected):
+        # each policy's pair, direction and origin, in order; the endpoint
+        # selector's namespace label is a label like any other
+        if not ingress and not egress:
+            return
+        doc = _doc_dict(ingress, egress, selected)
+        got = expand_rules(parse_cilium_policy(yaml.safe_dump(doc)))
+        assert [(p.pair, p.direction, p.origin) for p in got] == [
+            (p.pair, p.direction, p.origin) for p in expand(doc)
+        ]
 
 
 # each field's ways to say "unconstrained": absent, or its sentinel value
