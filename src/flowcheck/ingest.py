@@ -459,7 +459,8 @@ def _parse_ingress_rule(rule: Mapping, where: str, namespace: str, warnings: lis
         peers.append(Endpoint(namespace=peer_ns, label=_selector_label(labels)))
     if not peers:
         raise MalformedYaml(f"{where}: needs at least one of fromCIDRSet, fromEndpoints")
-    return Rule(tuple(peers), _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings))
+    ports = _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings)
+    return Rule(tuple(peers), ports)
 
 
 # Cilium's egress destinations besides toCIDRSet, none of them modeled
@@ -478,7 +479,8 @@ def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> Rule:
     peers = _parse_cidr_set(_require_key(rule, "toCIDRSet", where), f"{where}.toCIDRSet", warnings)
     if not peers:
         raise MalformedYaml(f"{where}: toCIDRSet must not be empty")
-    return Rule(tuple(peers), _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings))
+    ports = _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings)
+    return Rule(tuple(peers), ports)
 
 
 def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
