@@ -6,23 +6,15 @@ from .errors import (
     DuplicateApplicationId,
     DuplicateEndpoint,
     DuplicatePolicy,
-    DuplicateSymbol,
-    EmptyExpansion,
     EndpointUnknown,
     FlowcheckError,
     IngestError,
-    InvalidCidrString,
-    InvalidPort,
     ListenEndpointViolation,
-    MalformedYaml,
     PolicyViolation,
     ReceiverUnknown,
     SenderReceiveOnly,
     SenderUnknown,
     UnknownApplication,
-    UnknownEndpointReference,
-    UnsupportedApiVersion,
-    UnsupportedKind,
 )
 from .ingest import (
     CiliumPolicyDoc,

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import FlowcheckError
+from .errors import FlowcheckError, shown
 from .ingest import (
     assemble_state,
     expand_rules,
@@ -96,9 +96,9 @@ def parse_endpoint_spec(spec: str, role: str = "endpoint spec") -> Endpoint:
         key, sep, value = part.partition("=")
         key = key.strip()
         if not sep:
-            raise FlowcheckError(f"{role}: bad component {part!r}")
+            raise FlowcheckError(f"{role}: bad component {shown(part)}")
         if key in fields:
-            raise FlowcheckError(f"{role}: duplicate key {key!r}")
+            raise FlowcheckError(f"{role}: duplicate key {shown(key)}")
         fields[key] = value.strip()
     if "namespace" in fields:
         name, sep, ns_id = fields["namespace"].partition("/")

@@ -3,7 +3,8 @@
 Operation preconditions raise ``ContractViolation`` subclasses; each class
 pins the name of the operation whose contract it guards, so scenario
 expectations can match failures by operation and kind rather than by
-message text.
+message text.  Input that cannot be loaded raises ``IngestError``, and a
+refusal quotes input values through ``shown``.
 """
 
 from functools import cached_property
@@ -90,36 +91,19 @@ class ListenEndpointViolation(ContractViolation):
 
 
 class IngestError(FlowcheckError):
-    """Base class for document parsing failures."""
+    """A malformed or unsupported document, file or endpoint spec: input
+    that cannot be loaded (CLI exit 2).  Its message says what and where."""
 
 
-class MalformedYaml(IngestError):
-    pass
+SHOWN_CHARS = 80  # the longest str a refusal quotes in full
 
 
-class UnsupportedApiVersion(IngestError):
-    pass
-
-
-class UnsupportedKind(IngestError):
-    pass
-
-
-class InvalidCidrString(IngestError):
-    pass
-
-
-class InvalidPort(IngestError):
-    pass
-
-
-class EmptyExpansion(IngestError):
-    pass
-
-
-class UnknownEndpointReference(IngestError):
-    pass
-
-
-class DuplicateSymbol(IngestError):
-    pass
+def shown(value) -> str:
+    """``value`` as a refusal prints it: a list or mapping by its type name,
+    since aliases can make its text exponentially longer than the file, and
+    a str past ``SHOWN_CHARS`` by its leading characters and its length."""
+    if isinstance(value, (list, dict)):
+        return type(value).__name__
+    if isinstance(value, str) and len(value) > SHOWN_CHARS:
+        return f"{value[:SHOWN_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)

@@ -44,15 +44,7 @@ from typing import Mapping, Optional, Sequence
 
 import yaml
 
-from .errors import (
-    DuplicateSymbol,
-    EmptyExpansion,
-    InvalidPort,
-    MalformedYaml,
-    UnknownEndpointReference,
-    UnsupportedApiVersion,
-    UnsupportedKind,
-)
+from .errors import IngestError, shown
 from .matching import MatchMode
 from .model import (
     MAX_APP_ID,
@@ -152,7 +144,7 @@ def _document(loader):
 
     def define(anchor, value, height, mark):
         if anchor in anchors:
-            first = f"found duplicate anchor {anchor!r}; first occurrence"
+            first = f"found duplicate anchor {shown(anchor)}; first occurrence"
             raise _error("second occurrence", mark, first, anchors[anchor][2])
         anchors[anchor] = value, height, mark
 
@@ -176,7 +168,7 @@ def _document(loader):
             collection, own_tag, new = opens[kind]
             mark, tag = event.start_mark, event.tag
             if tag is not None and tag != "!" and tag != own_tag:
-                raise _error(f"tag {tag!r} is not allowed on a {collection}", mark)
+                raise _error(f"tag {shown(tag)} is not allowed on a {collection}", mark)
             if len(stack) > MAX_NESTING:
                 raise _error(f"collections nested deeper than {MAX_NESTING} levels", mark)
             if event.anchor is not None:
@@ -195,7 +187,7 @@ def _document(loader):
                 frame[3] = height
         elif kind is alias_event:
             if event.anchor not in anchors:
-                raise _error(f"found undefined alias {event.anchor!r}", event.start_mark)
+                raise _error(f"found undefined alias {shown(event.anchor)}", event.start_mark)
             value, height, _ = anchors[event.anchor]
             if value is _OPEN:
                 raise _error("found an alias to an enclosing collection", event.start_mark)
@@ -227,7 +219,7 @@ def _document(loader):
             if isinstance(value, (list, dict)):
                 raise _error("found unhashable key", mark or event.start_mark)
             if value in container:
-                raise _error(f"duplicate mapping key {value!r}", mark or event.start_mark)
+                raise _error(f"duplicate mapping key {shown(value)}", mark or event.start_mark)
             frame[4] = value
         elif key is _MERGE:
             frame[4], frame[5] = _KEY, _merged(value, mark or event.start_mark)
@@ -249,14 +241,14 @@ def _scalar(loader, event, tag):
         except ValueError as exc:  # e.g. "2001-02-30" or "!!int x12"
             raise _error(str(exc), event.start_mark) from None
         except (LookupError, AttributeError):  # e.g. "!!bool x", "!!int ''" or "!!timestamp x"
-            raise _error(f"not a valid {tag[len(_TAG):]}: {event.value!r}", event.start_mark) from None
+            raise _error(f"not a valid {tag[len(_TAG):]}: {shown(event.value)}", event.start_mark) from None
         # no field takes a wider int; one past the digit limit cannot be printed
         if tag == _INT and value.bit_length() > 64:
             raise _error("integer out of range", event.start_mark)
         return value
     if tag == _MERGE_TAG:
         return _MERGE
-    raise _error(f"tag {tag!r} is not allowed on a scalar", event.start_mark)
+    raise _error(f"tag {shown(tag)} is not allowed on a scalar", event.start_mark)
 
 
 def _load_yaml(text: str, what: str):
@@ -276,42 +268,36 @@ def _load_yaml(text: str, what: str):
             mark = getattr(exc, attr, None)
             if mark is not None:
                 setattr(exc, attr, yaml.Mark(what, mark.index, mark.line, mark.column, mark.buffer, mark.pointer))
-        raise MalformedYaml(f"{what}: {exc}") from exc
-
-
-def _shown(value) -> str:
-    """``value`` as a refusal prints it: a list or mapping by its type name,
-    since aliases can make its text exponentially longer than the file."""
-    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+        raise IngestError(f"{what}: {exc}") from exc
 
 
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise MalformedYaml(f"{where} must be a mapping, got {type(value).__name__}")
+        raise IngestError(f"{where} must be a mapping, got {type(value).__name__}")
     return value
 
 
 def _require_list(value, where: str) -> list:
     if not isinstance(value, list):
-        raise MalformedYaml(f"{where} must be a list, got {type(value).__name__}")
+        raise IngestError(f"{where} must be a list, got {type(value).__name__}")
     return value
 
 
 def _require_str(value, where: str) -> str:
     if not isinstance(value, str) or not value:
-        raise MalformedYaml(f"{where} must be a non-empty string, got {_shown(value)}")
+        raise IngestError(f"{where} must be a non-empty string, got {shown(value)}")
     return value
 
 
 def _require_int(value, where: str, hi: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= hi:
-        raise MalformedYaml(f"{where}: must be an integer in [0, {hi}], got {_shown(value)}")
+        raise IngestError(f"{where}: must be an integer in [0, {hi}], got {shown(value)}")
     return value
 
 
 def _require_key(node: Mapping, key: str, where: str):
     if key not in node:
-        raise MalformedYaml(f"{where}: missing {key!r}")
+        raise IngestError(f"{where}: missing {key!r}")
     return node[key]
 
 
@@ -333,10 +319,10 @@ def _node(value, allowed, where: str, warnings: Optional[list] = None) -> Mappin
     if warnings is not None:
         for key in unknown:
             if node[key] and (key in _WIDENING or key == "protocol" and node[key] not in ("TCP", "ANY")):
-                raise MalformedYaml(f"{where}: unsupported key {key!r}: ignoring it would widen what is allowed")
+                raise IngestError(f"{where}: unsupported key {key!r}: ignoring it would widen what is allowed")
         warnings.extend(f"{where}: unknown key {key!r}" for key in unknown)
     elif unknown:
-        raise MalformedYaml(f"{where}: unknown keys {sorted(unknown, key=repr)}")
+        raise IngestError(f"{where}: unknown keys [{', '.join(map(shown, sorted(unknown, key=repr)))}]")
     return node
 
 
@@ -353,7 +339,7 @@ def parse_decimal(text: str, where: str):
     if not (text.isascii() and text.isdigit()):
         return text
     if len(text) > 20:
-        raise MalformedYaml(f"{where}: out of range, more than 20 digits")
+        raise IngestError(f"{where}: out of range, more than 20 digits")
     return int(text)
 
 
@@ -362,11 +348,11 @@ def _parse_port(value, where: str) -> int:
     if isinstance(value, str):
         value = parse_decimal(value, f"{where}.port")
         if isinstance(value, str):
-            raise InvalidPort(f"{where}: port {value!r} is not a decimal number")
+            raise IngestError(f"{where}: port {shown(value)} is not a decimal number")
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidPort(f"{where}: port must be a number, got {_shown(value)}")
+        raise IngestError(f"{where}: port must be a number, got {shown(value)}")
     if not 1 <= value <= 65535:
-        raise InvalidPort(f"{where}: port {value} out of range 1-65535")
+        raise IngestError(f"{where}: port {value} out of range 1-65535")
     return value
 
 
@@ -409,12 +395,12 @@ def _parse_selector(node, where: str, warnings: list) -> dict:
     node = _node(node, {"matchLabels"}, where, warnings)
     labels = _require_mapping(node.get("matchLabels", {}), f"{where}.matchLabels")
     if not all(isinstance(key, str) and isinstance(item, str) for key, item in labels.items()):
-        raise MalformedYaml(f"{where}.matchLabels: matchLabels entries must map strings to strings")
+        raise IngestError(f"{where}.matchLabels: matchLabels entries must map strings to strings")
     for key, item in labels.items():
         if not _is_label_key(key):
-            raise MalformedYaml(f"{where}.matchLabels: invalid label key {key!r}")
+            raise IngestError(f"{where}.matchLabels: invalid label key {shown(key)}")
         if not _LABEL_NAME.fullmatch(item):
-            raise MalformedYaml(f"{where}.matchLabels: invalid value {item!r} for label {key!r}")
+            raise IngestError(f"{where}.matchLabels: invalid value {shown(item)} for label {shown(key)}")
     return dict(labels)
 
 
@@ -458,7 +444,7 @@ def _parse_ingress_rule(rule: Mapping, where: str, namespace: str, warnings: lis
         peer_ns = Namespace(labels.pop(NAMESPACE_LABEL_KEY, namespace), DEFAULT_NAMESPACE_ID)
         peers.append(Endpoint(namespace=peer_ns, label=_selector_label(labels)))
     if not peers:
-        raise MalformedYaml(f"{where}: needs at least one of fromCIDRSet, fromEndpoints")
+        raise IngestError(f"{where}: needs at least one of fromCIDRSet, fromEndpoints")
     ports = _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings)
     return Rule(tuple(peers), ports)
 
@@ -475,10 +461,10 @@ def _parse_egress_rule(rule: Mapping, where: str, warnings: list) -> Rule:
     named = [] if "toCIDRSet" in rule else [f"{key!r} ({_EGRESS_PEERS[key]})" for key in rule if key in _EGRESS_PEERS]
     if named:  # named here, since the missing toCIDRSet would fail before the warnings are read
         verb = "is" if len(named) == 1 else "are"
-        raise MalformedYaml(f"{where}: {', '.join(named)} {verb} not modeled; egress needs 'toCIDRSet'")
+        raise IngestError(f"{where}: {', '.join(named)} {verb} not modeled; egress needs 'toCIDRSet'")
     peers = _parse_cidr_set(_require_key(rule, "toCIDRSet", where), f"{where}.toCIDRSet", warnings)
     if not peers:
-        raise MalformedYaml(f"{where}: toCIDRSet must not be empty")
+        raise IngestError(f"{where}: toCIDRSet must not be empty")
     ports = _parse_to_ports(rule.get("toPorts", []), f"{where}.toPorts", warnings)
     return Rule(tuple(peers), ports)
 
@@ -491,11 +477,9 @@ def parse_cilium_policy(text: str) -> CiliumPolicyDoc:
     the subset raises.
     """
     data = _require_mapping(_load_yaml(text, "policy document"), "policy document")
-    for key, expected, error in (
-        ("apiVersion", API_VERSION, UnsupportedApiVersion), ("kind", KIND, UnsupportedKind)
-    ):
+    for key, expected in (("apiVersion", API_VERSION), ("kind", KIND)):
         if data.get(key) != expected:
-            raise error(f"{key} must be {expected!r}, got {_shown(data.get(key))}")
+            raise IngestError(f"{key} must be {expected!r}, got {shown(data.get(key))}")
     warnings: list = []
     _node(data, {"apiVersion", "kind", "metadata", "spec"}, "policy document", warnings)
     metadata = _require_mapping(data.get("metadata"), "metadata")
@@ -546,7 +530,7 @@ def expand_rules(doc: CiliumPolicyDoc) -> list[Policy]:
                 policies.append(Policy(pair=pair, direction=direction, origin=origin))
 
     if not policies:
-        raise EmptyExpansion(f"policy document {doc.name!r} produced no policies")
+        raise IngestError(f"policy document {shown(doc.name)} produced no policies")
     return policies
 
 
@@ -579,16 +563,16 @@ def parse_endpoint_fields(data, where: str) -> Endpoint:
     if data.get("port") is not None:
         port = data["port"]
         if isinstance(port, bool) or not isinstance(port, int):
-            raise InvalidPort(f"{where}.port: must be an integer, got {_shown(port)}")
+            raise IngestError(f"{where}.port: must be an integer, got {shown(port)}")
         if port != 0:
             port = _parse_port(port, where)
     label = data.get("label")
     if label is not None and not isinstance(label, str):
-        raise MalformedYaml(f"{where}.label: must be a string, got {_shown(label)}")
+        raise IngestError(f"{where}.label: must be a string, got {shown(label)}")
 
     cidr, namespace, port, label = normalize_fields(cidr, namespace, port, label)
     if cidr is None and namespace is None and port is None and label is None:
-        raise MalformedYaml(f"{where}: endpoint has no present fields after normalization")
+        raise IngestError(f"{where}: endpoint has no present fields after normalization")
     return Endpoint(cidr=cidr, namespace=namespace, port=port, label=label)
 
 
@@ -598,7 +582,7 @@ _APP_KEYS = frozenset({"id", "send", "listen", "receive_only"})
 def _declared(names, ref, where: str, kind: str) -> str:
     ref = _require_str(ref, where)
     if ref not in names:
-        raise UnknownEndpointReference(f"{where}: undeclared {kind} {ref!r}")
+        raise IngestError(f"{where}: undeclared {kind} {shown(ref)}")
     return ref
 
 
@@ -611,7 +595,7 @@ def _parse_application(entry: Mapping, where: str, endpoints: Mapping) -> dict:
     listen = _require_list(entry.get("listen", []), f"{where}.listen")
     receive_only = entry.get("receive_only", False)
     if not isinstance(receive_only, bool):
-        raise MalformedYaml(f"{where}.receive_only: must be a boolean")
+        raise IngestError(f"{where}.receive_only: must be a boolean")
     return {
         "id": _require_int(_require_key(entry, "id", where), f"{where}.id", MAX_APP_ID),
         "send": _resolve(endpoints, _require_key(entry, "send", where), f"{where}.send"),
@@ -640,14 +624,14 @@ def parse_topology(text: str):
         ep = endpoints[name] = parse_endpoint_fields(fields, f"endpoints.{name}")
         first = first_names.setdefault(ep, name)
         if first != name:
-            raise DuplicateSymbol(f"endpoints.{name}: same endpoint as endpoints.{first}")
+            raise IngestError(f"endpoints.{name}: same endpoint as endpoints.{first}")
 
     applications: dict[int, dict] = {}
     names: dict[int, str] = {}
     for where, entry in _nodes(data.get("applications", []), _APP_KEYS | {"name"}, "applications"):
         app = _parse_application(entry, where, endpoints)
         if app["id"] in applications:
-            raise DuplicateSymbol(f"{where}: application id {app['id']} declared twice")
+            raise IngestError(f"{where}: application id {app['id']} declared twice")
         applications[app["id"]] = app
         if entry.get("name") is not None:
             names[app["id"]] = _require_str(entry["name"], f"{where}.name")
@@ -697,7 +681,7 @@ def _parse_expectation(value, action: str, where: str) -> Expectation:
         return EXPECT_OK
     if value == violation:
         return Expectation(violation_of=_ACTIONS[action][0])
-    raise MalformedYaml(f"{where}.expect: must be {ok!r} or {violation!r}, got {_shown(value)}")
+    raise IngestError(f"{where}.expect: must be {ok!r} or {violation!r}, got {shown(value)}")
 
 
 def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) -> ScenarioScript:
@@ -713,7 +697,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
     if mode is not None:
         # not MatchMode's own refusal: its message would repr a list in full
         if mode not in ("strict", "semantic"):
-            raise MalformedYaml(f"scenario: mode must be 'strict' or 'semantic', got {_shown(mode)}")
+            raise IngestError(f"scenario: mode must be 'strict' or 'semantic', got {shown(mode)}")
         mode = MatchMode(mode)
 
     endpoints: dict[str, Endpoint] = dict(symbols or {})
@@ -722,7 +706,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
     def declare(body: Mapping, where: str) -> str:
         name = _require_str(body.get("name"), f"{where}.name")
         if name in endpoints or name in policies:
-            raise DuplicateSymbol(f"{where}: symbol {name!r} declared twice")
+            raise IngestError(f"{where}: symbol {shown(name)} declared twice")
         return name
 
     steps = []
@@ -730,7 +714,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
         # a step's one-action test comes before its key check, so steps are not read by _nodes
         where = f"steps[{i}]"
         if len(_require_mapping(raw, where)) != 1:
-            raise MalformedYaml(f"{where}: step must have exactly one action key")
+            raise IngestError(f"{where}: step must have exactly one action key")
         action, body = next(iter(_node(raw, _ACTIONS, where).items()))
         body = _node(_require_mapping(body, f"{where}.{action}"), _STEP_KEYS[action], where)
         expected = _parse_expectation(body.get("expect"), action, where)
@@ -744,7 +728,7 @@ def parse_scenario(text: str, symbols: Optional[Mapping[str, Endpoint]] = None) 
         elif action == "create_policy":
             direction = body.get("direction")
             if isinstance(direction, bool) or direction not in (0, 1):
-                raise MalformedYaml(f"{where}.direction: must be 0 or 1, got {_shown(direction)}")
+                raise IngestError(f"{where}.direction: must be 0 or 1, got {shown(direction)}")
             first = _resolve(endpoints, body.get("first"), f"{where}.first")
             second = _resolve(endpoints, body.get("second"), f"{where}.second")
             name = declare(body, where)

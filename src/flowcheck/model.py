@@ -23,7 +23,7 @@ from enum import IntEnum
 from itertools import islice
 from typing import Mapping, Optional
 
-from .errors import InvalidCidrString, UnknownApplication
+from .errors import IngestError, UnknownApplication, shown
 
 # ASCII digits only, and no leading zero on a number other than 0 itself
 _OCTET = r"(0|[1-9][0-9]{0,2})"
@@ -87,17 +87,17 @@ class Cidr:
 
 
 def parse_cidr(text: str) -> Cidr:
-    """Parse ``a.b.c.d/p`` notation; raises InvalidCidrString otherwise."""
+    """Parse ``a.b.c.d/p`` notation; raises IngestError otherwise."""
     if not isinstance(text, str):
-        raise InvalidCidrString(f"CIDR must be a string, got {text!r}")
+        raise IngestError(f"CIDR must be a string, got {shown(text)}")
     m = _CIDR_RE.fullmatch(text)
     if m is None:
-        raise InvalidCidrString(f"not a CIDR block: {text!r}")
+        raise IngestError(f"not a CIDR block: {shown(text)}")
     blocks = [int(g) for g in m.groups()]
     if any(b > 255 for b in blocks[:4]):
-        raise InvalidCidrString(f"octet out of range in {text!r}")
+        raise IngestError(f"octet out of range in {shown(text)}")
     if blocks[4] > 32:
-        raise InvalidCidrString(f"prefix length out of range in {text!r}")
+        raise IngestError(f"prefix length out of range in {shown(text)}")
     return Cidr(*blocks)
 
 

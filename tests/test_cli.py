@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowcheck.cli import main, parse_endpoint_spec
 from flowcheck import Cidr, Endpoint, Namespace, ingest
-from flowcheck.errors import FlowcheckError
+from flowcheck.errors import SHOWN_CHARS, FlowcheckError, shown
 from flowcheck.ingest import _ACTIONS, _APP_KEYS, _ENDPOINT_KEYS, parse_endpoint_fields
 
 from test_ingest import WORLD_POLICY
@@ -610,6 +610,33 @@ def test_a_refused_alias_chain_is_never_rendered(parse, template):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+# a 5,000-character value in each refusal that quotes it; the topology key
+# is explicit ("? "), since YAML limits a plain key to 1,024 characters
+LONG_INPUTS = {
+    "explain-cidr": (["explain", "cidr=" + "1" * 5000, "label=y"], None),
+    "explain-key": (["explain", "label=x," + "k" * 5000 + "=1", "label=y"], None),
+    "topology-endpoint-key": (
+        ["reachability", "--topology"], "endpoints:\n  a:\n    label: A\n    ? " + "k" * 5000 + "\n    : 1\n"),
+}
+
+
+@pytest.mark.parametrize("args, content", list(LONG_INPUTS.values()), ids=list(LONG_INPUTS))
+def test_a_long_input_is_quoted_by_its_start_and_length(args, content, tmp_path, capsys):
+    if content is not None:
+        path = tmp_path / "input.yaml"
+        path.write_text(content, encoding="utf-8")
+        args = [*args, str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode("utf-8")) < 300
+    assert "'... (5000 characters)" in err
+
+
+def test_a_str_is_quoted_in_full_up_to_the_bound():
+    assert shown("k" * SHOWN_CHARS) == repr("k" * SHOWN_CHARS)
+    assert shown("k" * (SHOWN_CHARS + 1)) == f"{'k' * SHOWN_CHARS!r}... ({SHOWN_CHARS + 1} characters)"
 
 
 # one bad file among good ones, in the BAD slot: its error line names it

@@ -86,6 +86,9 @@ def _cases() -> dict[str, list[str]]:
             mode = "semantic" if name.startswith("semantic:") else "strict"
             cases[f"explain {name} {fmt}"] = ["explain", sender, receiver, *POLICIES, "--mode", mode, "--format", fmt]
         cases[f"reachability strict {fmt}"] = ["reachability", *POLICIES, *TOPOLOGY, "--format", fmt]
+        cases[f"reachability empty {fmt}"] = [
+            "reachability", *POLICIES, "--topology", "tests/data/empty-topology.yaml", "--format", fmt,
+        ]
     return cases | ERROR_CASES
 
 

@@ -2,27 +2,22 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 import yaml
 
 from flowcheck import (
     Cidr,
     Direction,
-    DuplicateSymbol,
-    EmptyExpansion,
     Endpoint,
     FlowcheckError,
-    InvalidCidrString,
-    InvalidPort,
-    MalformedYaml,
+    IngestError,
     MatchMode,
     Namespace,
     Policy,
     Rule,
     SystemState,
-    UnknownEndpointReference,
-    UnsupportedApiVersion,
-    UnsupportedKind,
     evaluate,
     expand_rules,
     parse_cilium_policy,
@@ -81,26 +76,28 @@ class TestParseCiliumPolicy:
         assert doc.warnings == ()
 
     def test_wrong_api_version(self, ui_policy_text):
-        with pytest.raises(UnsupportedApiVersion):
+        with pytest.raises(IngestError, match=r"^apiVersion must be 'cilium\.io/v2', got 'cilium\.io/v1'$"):
             parse_cilium_policy(ui_policy_text.replace("cilium.io/v2", "cilium.io/v1"))
 
     def test_wrong_kind(self, ui_policy_text):
-        with pytest.raises(UnsupportedKind):
+        with pytest.raises(IngestError, match="^kind must be 'CiliumNetworkPolicy', got 'NetworkPolicy'$"):
             parse_cilium_policy(
                 ui_policy_text.replace("CiliumNetworkPolicy", "NetworkPolicy")
             )
 
     def test_invalid_cidr(self, ui_policy_text):
-        with pytest.raises(InvalidCidrString):
+        with pytest.raises(IngestError, match=r"^prefix length out of range in '10\.28\.1\.2/33'$"):
             parse_cilium_policy(ui_policy_text.replace("10.28.1.2/30", "10.28.1.2/33"))
 
     @pytest.mark.parametrize("bad_port", ['"0"', '"70000"', '"https"'])
     def test_invalid_port(self, ui_policy_text, bad_port):
-        with pytest.raises(InvalidPort):
+        problem = {'"0"': "0 out of range 1-65535", '"70000"': "70000 out of range 1-65535",
+                   '"https"': "'https' is not a decimal number"}[bad_port]
+        with pytest.raises(IngestError, match=f"^{re.escape(f'spec.ingress[0].toPorts[0].ports[0]: port {problem}')}$"):
             parse_cilium_policy(ui_policy_text.replace('"443"', bad_port))
 
     def test_not_yaml(self):
-        with pytest.raises(MalformedYaml):
+        with pytest.raises(IngestError, match=r"^policy document: while parsing a flow node\n"):
             parse_cilium_policy("{unbalanced: [")
 
     def test_unknown_spec_keys_warn(self, ui_policy_text):
@@ -125,7 +122,7 @@ spec:
         - ports:
             - port: "80"
 """
-        with pytest.raises(MalformedYaml):
+        with pytest.raises(IngestError, match=r"^spec\.ingress\[0\]: needs at least one of fromCIDRSet, fromEndpoints$"):
             parse_cilium_policy(text)
 
     def test_duplicate_mapping_keys_rejected(self):
@@ -137,7 +134,7 @@ spec:
   endpointSelector: {matchLabels: {app: A}}
   endpointSelector: {matchLabels: {app: B}}
 """
-        with pytest.raises(MalformedYaml):
+        with pytest.raises(IngestError, match=r"^policy document: duplicate mapping key 'endpointSelector'\n"):
             parse_cilium_policy(text)
 
 
@@ -201,7 +198,7 @@ metadata: {name: Empty, namespace: NS-X}
 spec:
   endpointSelector: {matchLabels: {app: X}}
 """
-        with pytest.raises(EmptyExpansion):
+        with pytest.raises(IngestError, match="^policy document 'Empty' produced no policies$"):
             expand_rules(parse_cilium_policy(text))
 
     def test_extra_match_labels_lossless(self):
@@ -297,21 +294,21 @@ class TestParseTopology:
         assert application == script.steps[0].arguments
 
     def test_unknown_endpoint_reference(self, topology_text):
-        with pytest.raises(UnknownEndpointReference):
+        with pytest.raises(IngestError, match=r"^applications\[0\]\.send: undeclared endpoint 'clientX'$"):
             parse_topology(topology_text.replace("send: client", "send: clientX"))
 
     def test_duplicate_application_id(self, topology_text):
-        with pytest.raises(DuplicateSymbol):
+        with pytest.raises(IngestError, match=r"^applications\[7\]: application id 7 declared twice$"):
             parse_topology(topology_text.replace("id: 8", "id: 7"))
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(MalformedYaml):
+        with pytest.raises(IngestError, match=r"^topology: unknown keys \['extras'\]$"):
             parse_topology("endpoints: {}\napplications: []\nextras: {}\n")
 
     def test_two_names_for_one_endpoint_rejected(self):
         # sentinel fields normalize away, so these are the same endpoint
         text = "endpoints:\n  a: {cidr: 10.0.0.1/32, port: 0}\n  b: {cidr: 10.0.0.1/32, namespace: '-'}\n"
-        with pytest.raises(DuplicateSymbol, match=r"^endpoints\.b: same endpoint as endpoints\.a$"):
+        with pytest.raises(IngestError, match=r"^endpoints\.b: same endpoint as endpoints\.a$"):
             parse_topology(text)
 
     MERGED = """
@@ -337,7 +334,7 @@ applications:
         assert parse_topology(self.MERGED) == parse_topology(flattened)
 
     def test_explicit_duplicate_beside_merge_rejected(self):
-        with pytest.raises(MalformedYaml, match="duplicate mapping key 'label'"):
+        with pytest.raises(IngestError, match="duplicate mapping key 'label'"):
             parse_topology(self.MERGED.replace("label: B}", "label: B, label: C}"))
 
     def test_merge_of_scalar_is_config_error(self, tmp_path, capsys):
@@ -379,20 +376,20 @@ class TestParseScenario:
 
     def test_unknown_endpoint_reference(self, scenario_texts):
         text = scenario_texts["client_to_webui"].replace("endpoint: ep2, expect", "endpoint: ep9, expect")
-        with pytest.raises(UnknownEndpointReference):
+        with pytest.raises(IngestError, match=r"^steps\[5\]\.endpoint: undeclared endpoint 'ep9'$"):
             parse_scenario(text)
 
     def test_duplicate_symbol(self, scenario_texts):
         text = scenario_texts["client_to_webui"].replace("name: ep2,", "name: ep1,")
-        with pytest.raises(DuplicateSymbol):
+        with pytest.raises(IngestError, match=r"^steps\[1\]: symbol 'ep1' declared twice$"):
             parse_scenario(text)
 
     def test_direction_must_be_0_or_1(self, scenario_texts):
         text = scenario_texts["client_to_webui"].replace("direction: 0", "direction: 2")
-        with pytest.raises(MalformedYaml):
+        with pytest.raises(IngestError, match=r"^steps\[2\]\.direction: must be 0 or 1, got 2$"):
             parse_scenario(text)
         text = scenario_texts["client_to_webui"].replace("direction: 0", "direction: ingress")
-        with pytest.raises(MalformedYaml):
+        with pytest.raises(IngestError, match=r"^steps\[2\]\.direction: must be 0 or 1, got 'ingress'$"):
             parse_scenario(text)
 
     @pytest.mark.parametrize("written, direction", [
@@ -406,7 +403,7 @@ class TestParseScenario:
     @pytest.mark.parametrize("written", ["true", "false", "2", "-1", '"1"', "'0'", ".nan", "~", "[1]", "{a: 1}"])
     def test_any_other_direction_exits_2(self, scenario_texts, written, tmp_path, capsys):
         text = scenario_texts["client_to_webui"].replace("direction: 0", f"direction: {written}")
-        with pytest.raises(MalformedYaml, match=r"^steps\[2\]\.direction: must be 0 or 1, got "):
+        with pytest.raises(IngestError, match=r"^steps\[2\]\.direction: must be 0 or 1, got "):
             parse_scenario(text)
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(text, encoding="utf-8")
@@ -421,12 +418,12 @@ class TestParseScenario:
 
     def test_all_sentinel_endpoint_rejected(self):
         text = 'steps:\n  - create_endpoint: {name: e, cidr: 0.0.0.0/0, namespace: "-", port: 0, label: ""}\n'
-        with pytest.raises(MalformedYaml):
+        with pytest.raises(IngestError, match=r"^steps\[0\]: endpoint has no present fields after normalization$"):
             parse_scenario(text)
 
     def test_bad_expect_value(self, scenario_texts):
         text = scenario_texts["client_to_webui"].replace("expect: allow", "expect: maybe")
-        with pytest.raises(MalformedYaml):
+        with pytest.raises(IngestError, match=r"^steps\[5\]\.expect: must be 'allow' or 'deny', got 'maybe'$"):
             parse_scenario(text)
 
     def test_namespace_with_explicit_id(self):
@@ -455,7 +452,7 @@ class TestParseScenario:
     def test_predeclared_symbol_cannot_be_redeclared(self, topology_text):
         endpoints = parse_topology(topology_text)[0]
         text = "steps:\n  - create_endpoint: {name: client, label: clash}\n"
-        with pytest.raises(DuplicateSymbol):
+        with pytest.raises(IngestError, match=r"^steps\[0\]: symbol 'client' declared twice$"):
             parse_scenario(text, symbols=endpoints)
 
 

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from flowcheck import MalformedYaml, expand_rules, ingest, parse_cilium_policy
+from flowcheck import IngestError, expand_rules, ingest, parse_cilium_policy
 from flowcheck.cli import main
 
 # one unknown key at each of the eight policy nodes, two at spec
@@ -69,7 +69,7 @@ spec:
 
 
 def test_egress_to_endpoints_alone_is_named_as_not_modeled():
-    with pytest.raises(MalformedYaml) as raised:
+    with pytest.raises(IngestError) as raised:
         parse_cilium_policy(EGRESS_TO_PODS)
     assert str(raised.value) == (
         "spec.egress[0]: 'toEndpoints' (egress to pods) is not modeled; egress needs 'toCIDRSet'"
@@ -91,7 +91,7 @@ EGRESS_PEER_VALUES = {
 @pytest.mark.parametrize("key", sorted(EGRESS_PEER_VALUES))
 def test_another_unmodeled_egress_peer_alone_is_named(key):
     alone = EGRESS_TO_PODS.replace("toEndpoints: [{matchLabels: {app: Command}}]", f"{key}: {EGRESS_PEER_VALUES[key]}")
-    with pytest.raises(MalformedYaml) as raised:
+    with pytest.raises(IngestError) as raised:
         parse_cilium_policy(alone)
     assert str(raised.value) == (
         f"spec.egress[0]: {key!r} ({ingest._EGRESS_PEERS[key]}) is not modeled; egress needs 'toCIDRSet'"
@@ -106,13 +106,13 @@ def test_every_unmodeled_egress_peer_has_a_case():
 
 def test_several_unmodeled_egress_peers_are_all_named():
     text = EGRESS_TO_PODS + "      toFQDNs: [{matchName: example.com}]\n"
-    with pytest.raises(MalformedYaml) as raised:
+    with pytest.raises(IngestError) as raised:
         parse_cilium_policy(text)
     assert str(raised.value) == (
         "spec.egress[0]: 'toEndpoints' (egress to pods), 'toFQDNs' (egress to DNS names) are not modeled;"
         " egress needs 'toCIDRSet'"
     )
-    with pytest.raises(MalformedYaml, match=r"^spec\.egress\[0\]: missing 'toCIDRSet'$"):
+    with pytest.raises(IngestError, match=r"^spec\.egress\[0\]: missing 'toCIDRSet'$"):
         parse_cilium_policy(EGRESS_TO_PODS.replace("toEndpoints: [{matchLabels: {app: Command}}]", "toPorts: []"))
 
 
@@ -168,7 +168,7 @@ def _with_key(where: str, key: str, value) -> str:
 )
 def test_widening_keys_fail_closed(where, key, value, tmp_path, capsys):
     text = _with_key(where, key, value)
-    with pytest.raises(MalformedYaml, match=re.escape(f"{where}: unsupported key {key!r}")):
+    with pytest.raises(IngestError, match=re.escape(f"{where}: unsupported key {key!r}")):
         parse_cilium_policy(text)
     path = tmp_path / "policy.yaml"
     path.write_text(text, encoding="utf-8")
@@ -230,7 +230,7 @@ def test_a_widening_key_with_a_value_is_refused(data):
     value = data.draw(YAML_VALUES.filter(
         lambda value: value and (key != "protocol" or value not in ("TCP", "ANY"))
     ))
-    with pytest.raises(MalformedYaml) as raised:
+    with pytest.raises(IngestError) as raised:
         parse_cilium_policy(_with_key(where, key, value))
     assert str(raised.value).startswith(f"{where}: unsupported key {key!r}")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -37,7 +38,7 @@ from flowcheck import (
     parse_cidr,
     send_data,
 )
-from flowcheck.errors import InvalidCidrString
+from flowcheck.errors import IngestError
 from flowcheck.model import _memo
 
 
@@ -68,7 +69,7 @@ class TestCidr:
             Cidr(10, 28, 1, True, 30)
 
     def test_parse_cidr_refuses_a_non_string(self):
-        with pytest.raises(InvalidCidrString, match="^CIDR must be a string, got 5$"):
+        with pytest.raises(IngestError, match="^CIDR must be a string, got 5$"):
             parse_cidr(5)
 
     def test_parse_round_trip(self):
@@ -85,7 +86,9 @@ class TestCidr:
         ],
     )
     def test_parse_rejects(self, text):
-        with pytest.raises(InvalidCidrString):
+        problem = {"10.28.1.2/33": "prefix length out of range in", "10.28.1.256/24": "octet out of range in"}.get(
+            text, "not a CIDR block:")
+        with pytest.raises(IngestError, match=f"^{re.escape(f'{problem} {text!r}')}$"):
             parse_cidr(text)
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -621,3 +624,32 @@ class KeptStates(RuleBasedStateMachine):
 
 TestKeptStates = KeptStates.TestCase
 TestKeptStates.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+
+
+FAILING_PROPERTIES = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_failing_property(n):
+    assert n < 0
+
+
+def test_after_it():
+    assert False
+"""
+
+
+def test_a_failing_property_is_reported_and_the_run_goes_on(tmp_path):
+    # run under this repository's pytest settings, where warnings are errors
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTIES, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+         "-q", "-rf", "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert "INTERNALERROR" not in output
+    assert "FAILED test_failing.py::test_a_failing_property" in output
+    assert "FAILED test_failing.py::test_after_it" in output

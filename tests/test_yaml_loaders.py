@@ -23,7 +23,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from flowcheck import MalformedYaml
+from flowcheck import IngestError
 from flowcheck import ingest
 
 
@@ -47,7 +47,7 @@ def strict_loader(request, monkeypatch):
 
 
 def test_duplicate_key_rejected(strict_loader):
-    with pytest.raises(MalformedYaml, match="duplicate mapping key 'a'"):
+    with pytest.raises(IngestError, match="duplicate mapping key 'a'"):
         strict_loader("a: 1\nb: 2\na: 3\n")
 
 
@@ -57,7 +57,7 @@ def test_merge_keys_lose_to_explicit_keys(strict_loader):
 
 
 def test_duplicate_merge_key_rejected(strict_loader):
-    with pytest.raises(MalformedYaml, match="duplicate mapping key '<<'"):
+    with pytest.raises(IngestError, match="duplicate mapping key '<<'"):
         strict_loader("b: &b {x: 1}\nm: {<<: *b, <<: *b}\n")
 
 
@@ -74,7 +74,7 @@ def test_int_at_64_bits_loads(strict_loader, value):
 
 @pytest.mark.parametrize("text", [f"n: {2**64}\n", f"n: {-(2**64)}\n", "n: 0x1" + "0" * 16 + "\n"])
 def test_int_past_64_bits_rejected(strict_loader, text):
-    with pytest.raises(MalformedYaml, match="integer out of range"):
+    with pytest.raises(IngestError, match="integer out of range"):
         strict_loader(text)
 
 
@@ -85,14 +85,14 @@ def test_nesting_bound(strict_loader, open_, close):
     for _ in range(depth - 1):
         value = value[0] if isinstance(value, list) else value["a"]
     assert value in ([], {"a": None})
-    with pytest.raises(MalformedYaml, match=f"nested deeper than {depth} levels"):
+    with pytest.raises(IngestError, match=f"nested deeper than {depth} levels"):
         strict_loader(open_ * (depth + 1) + close * (depth + 1))
 
 
 def test_nesting_bound_counts_block_collections(strict_loader):
     depth = ingest.MAX_NESTING
     deep = "".join(" " * level + "a:\n" for level in range(depth)) + " " * depth + "- x\n"
-    with pytest.raises(MalformedYaml, match=f"nested deeper than {depth} levels"):
+    with pytest.raises(IngestError, match=f"nested deeper than {depth} levels"):
         strict_loader(deep)
 
 
@@ -118,13 +118,13 @@ def test_each_file_is_parsed_once(strict_loader, monkeypatch):
 ], ids=["set", "omap", "pairs", "local-scalar", "local-sequence", "map-on-sequence", "seq-on-mapping",
         "int-on-sequence", "value-tag"])
 def test_tags_other_than_the_core_ones_rejected(strict_loader, text):
-    with pytest.raises(MalformedYaml, match="is not allowed on a"):
+    with pytest.raises(IngestError, match="is not allowed on a"):
         strict_loader(text)
 
 
 @pytest.mark.parametrize("text", ["&a [1, *a]\n", "&a [1, [2, *a]]\n", "&m {x: *m}\n", "&m {x: [*m]}\n"])
 def test_alias_to_an_enclosing_collection_rejected(strict_loader, text):
-    with pytest.raises(MalformedYaml, match="alias to an enclosing collection"):
+    with pytest.raises(IngestError, match="alias to an enclosing collection"):
         strict_loader(text)
 
 
@@ -132,7 +132,7 @@ def test_nesting_bound_counts_through_aliases(strict_loader):
     depth = ingest.MAX_NESTING
     defined = "a: &x " + "[" * (depth - 1) + "]" * (depth - 1) + "\n"  # 100 levels under the document
     assert strict_loader(defined + "b: *x\n")["b"] == strict_loader(defined)["a"]
-    with pytest.raises(MalformedYaml, match=f"nested deeper than {depth} levels"):
+    with pytest.raises(IngestError, match=f"nested deeper than {depth} levels"):
         strict_loader(defined + "b: [*x]\n")  # 101
 
 
@@ -176,7 +176,7 @@ def test_no_composer_no_constructor_no_collection_nodes(strict_loader, monkeypat
 ], ids=["duplicate-key", "wide-int", "disallowed-tag", "unhashable-key", "merge-outside-key", "merge-of-a-scalar"])
 def test_a_refusal_names_its_own_occurrence_of_text_seen_before(strict_loader, text, problem, line, column):
     # the text is kept from its earlier occurrence; the mark is this one's
-    with pytest.raises(MalformedYaml) as raised:
+    with pytest.raises(IngestError) as raised:
         strict_loader(text)
     assert str(raised.value).startswith(f'document: {problem}\n  in "document", line {line}, column {column}')
 
@@ -185,10 +185,10 @@ def test_a_scalar_that_fails_to_build_raises_at_its_first_occurrence(strict_load
     # a date past the month's end fails in the constructor, before the
     # unclosed sequence after it is parsed
     day = r'^document: day is out of range for month\n  in "document", line 2, column 4'
-    with pytest.raises(MalformedYaml, match=day):
+    with pytest.raises(IngestError, match=day):
         strict_loader("a: x\nb: 2001-02-30\nc: 2001-02-30\nd: [\n")
     undecodable = r'^document: failed to decode base64 data: [^\n]*\n  in "document", line 2, column 4'
-    with pytest.raises(MalformedYaml, match=undecodable):
+    with pytest.raises(IngestError, match=undecodable):
         strict_loader("a: !!str a\nb: !!binary a\nc: !!binary a\n")
 
 
@@ -203,7 +203,7 @@ def test_a_scalar_that_fails_to_build_raises_at_its_first_occurrence(strict_load
 def test_a_tagged_scalar_its_constructor_cannot_read_is_refused_at_its_position(strict_loader, scalar, problem):
     # PyYAML's core constructors refuse such text with ValueError, or fail
     # with KeyError, IndexError or AttributeError; each is one marked refusal
-    with pytest.raises(MalformedYaml) as raised:
+    with pytest.raises(IngestError) as raised:
         strict_loader(f"a: x\nb: {scalar}\n")
     assert str(raised.value).startswith(f'document: {problem}\n  in "document", line 2, column 4')
 
@@ -257,7 +257,7 @@ def test_alias_chain_is_config_error(strict_loader):
     links = 1200
     chain = "".join(f"[&m{i} {{x: *m{i - 1}}}], " for i in range(1, links)).replace("*m0", "1")
     text = f"[{chain}{{z: *m{links - 1}}}]"
-    with pytest.raises(MalformedYaml):
+    with pytest.raises(IngestError, match=r"^document: collections nested deeper than 100 levels\n"):
         strict_loader(text)
 
 
