@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import FlowcheckError, shown
@@ -31,6 +32,7 @@ from .matching import MatchMode, evaluate, explain
 from .model import (
     Direction,
     Endpoint,
+    Policy,
     PolicySet,
     canonical_endpoint_text,
     describe_endpoint,
@@ -81,6 +83,88 @@ def _policy_json(policy) -> dict:
     return data
 
 
+_quoted = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
+_SCALARS = frozenset({str, int, bool, type(None)})
+# characters handed to standard output at once: under PYTHONUNBUFFERED
+# each write is a system call, so one per list item would cost more than
+# the rendering
+_CHUNK = 8192
+
+
+class JsonWriter:
+    """Writes documents to standard output, piece by piece, with the bytes
+    ``print`` gives for ``json.dumps(doc)`` indented by two spaces.
+
+    A top-level value that is an iterator is written as a list, rendered
+    item by item, and the text goes out in chunks of about ``_CHUNK``
+    characters, so neither the document's items nor its text are ever
+    held whole.  An ``Endpoint`` or ``Policy`` is written as its JSON
+    object, rendered once per object and depth and kept for the writer's
+    life.  The cache is keyed by identity, since policy equality ignores
+    the origin the text holds.  A mapping of scalars goes through the C
+    encoder, one built per depth, since ``indent`` selects the pure-Python
+    one.
+    """
+
+    def __init__(self):
+        self._fragments = {}  # (id, depth) -> (object, text): the object keeps its id its own
+        self._encoders = {}  # depth -> encode of a mapping of scalars whose items sit at depth + 1
+
+    def write(self, doc: dict) -> None:
+        chunk, size = [], 0
+        for piece in self._pieces(doc):
+            chunk.append(piece)
+            size += len(piece)
+            if size >= _CHUNK:
+                sys.stdout.write("".join(chunk))
+                chunk, size = [], 0
+        sys.stdout.write("".join(chunk))
+
+    def _pieces(self, doc: dict):
+        opening = "{"
+        for key, value in doc.items():
+            yield f"{opening}\n  {_quoted(key)}: "
+            opening = ","
+            if not isinstance(value, Iterator):
+                yield self.render(value, 1)
+                continue
+            bracket = "["
+            for item in value:
+                yield f"{bracket}\n    {self.render(item, 2)}"
+                bracket = ","
+            yield "[]" if bracket == "[" else "\n  ]"
+        yield "{}\n" if opening == "{" else "\n}\n"
+
+    def render(self, value, depth: int) -> str:
+        """``value``, a mapping, an endpoint, a policy or a scalar, as
+        ``json.dumps`` indented by two spaces writes it ``depth`` levels in."""
+        kind = type(value)
+        if kind is Endpoint or kind is Policy:
+            hit = self._fragments.get((id(value), depth))
+            if hit is None:
+                data = endpoint_to_dict(value) if kind is Endpoint else _policy_json(value)
+                hit = self._fragments[id(value), depth] = (value, self.render(data, depth))
+            return hit[1]
+        if kind is dict:
+            if not value:
+                return "{}"
+            pad = "\n" + "  " * (depth + 1)
+            if all(type(item) in _SCALARS for item in value.values()):
+                encode = self._encoders.get(depth)
+                if encode is None:
+                    encoder = json.JSONEncoder(check_circular=False, separators=("," + pad, ": "))
+                    encode = self._encoders[depth] = encoder.encode
+                items = encode(value)[1:-1]
+                return f"{{{pad}{items}\n{'  ' * depth}}}"
+            items = ",".join(f"{pad}{_quoted(key)}: {self.render(item, depth + 1)}" for key, item in value.items())
+            return f"{{{items}\n{'  ' * depth}}}"
+        if kind is str:
+            return _quoted(value)
+        if value is None or kind is bool:
+            return "null" if value is None else "true" if value else "false"
+        return int.__repr__(value)  # a TypeError for anything else, as json.dumps refuses it
+
+
 def parse_endpoint_spec(spec: str, role: str = "endpoint spec") -> Endpoint:
     """Parse a command-line endpoint: comma-separated key=value pairs.
 
@@ -129,6 +213,43 @@ def _application_endpoints(topology) -> set[Endpoint]:
     return {ep for app in topology[1] for ep in (app["send"], *app["listen"])}
 
 
+def _check_json(report, mode: MatchMode) -> dict:
+    """The document ``check --format json`` writes: ``report.to_dict()``
+    and the mode, its outcomes rendered one at a time."""
+    return {
+        "steps_run": report.steps_run,
+        "passed": report.passed,
+        "outcomes": (outcome.to_dict() for outcome in report.outcomes),
+        "mode": mode.value,
+    }
+
+
+def _reachability_json(matrix, names: dict, mode: MatchMode) -> dict:
+    """The document ``reachability --format json`` writes, one entry at a time."""
+
+    def entries():
+        for (sid, rid, ep), verdict in matrix.entries.items():
+            entry = {"sender": sid, "receiver": rid, "endpoint": ep, "allowed": verdict.allowed}
+            if sid in names:
+                entry["sender_name"] = names[sid]
+            if rid in names:
+                entry["receiver_name"] = names[rid]
+            if verdict.matched_policy is not None:
+                entry["matched_policy"] = verdict.matched_policy
+            yield entry
+
+    return {"mode": mode.value, "entries": entries()}
+
+
+def _explain_json(sender, receiver, verdict, reasons, mode: MatchMode) -> dict:
+    """The document ``explain --format json`` writes, one reason at a time."""
+    doc = {"mode": mode.value, "sender": sender, "receiver": receiver, "allowed": verdict.allowed}
+    if verdict.matched_policy is not None:
+        doc["matched_policy"] = verdict.matched_policy
+    doc["failed_predicates"] = ({"policy": policy, "predicate": predicate} for policy, predicate in reasons)
+    return doc
+
+
 def cmd_check(args) -> int:
     policies = _load_policies(args.policies)
     topology = None if args.topology is None else _load(args.topology, parse_topology)
@@ -144,9 +265,7 @@ def cmd_check(args) -> int:
         script.steps, mode=mode, initial_state=state, check_listen=args.check_listen
     )
     if args.format == "json":
-        doc = report.to_dict()
-        doc["mode"] = mode.value
-        print(json.dumps(doc, indent=2))
+        JsonWriter().write(_check_json(report, mode))
     else:
         for outcome in report.outcomes:
             status = "ok" if outcome.matched else "MISMATCH"
@@ -171,22 +290,7 @@ def cmd_reachability(args) -> int:
         return f"{aid}:{names[aid]}" if aid in names else str(aid)
 
     if args.format == "json":
-        entries = []
-        for (sid, rid, ep), verdict in matrix.entries.items():
-            entry = {
-                "sender": sid,
-                "receiver": rid,
-                "endpoint": endpoint_to_dict(ep),
-                "allowed": verdict.allowed,
-            }
-            if sid in names:
-                entry["sender_name"] = names[sid]
-            if rid in names:
-                entry["receiver_name"] = names[rid]
-            if verdict.matched_policy is not None:
-                entry["matched_policy"] = _policy_json(verdict.matched_policy)
-            entries.append(entry)
-        print(json.dumps({"mode": mode.value, "entries": entries}, indent=2))
+        JsonWriter().write(_reachability_json(matrix, names, mode))
     else:
         rows = []
         for (sid, rid, ep), verdict in matrix.entries.items():
@@ -233,19 +337,7 @@ def cmd_explain(args) -> int:
     ]
 
     if args.format == "json":
-        doc = {
-            "mode": mode.value,
-            "sender": endpoint_to_dict(sender),
-            "receiver": endpoint_to_dict(receiver),
-            "allowed": verdict.allowed,
-        }
-        if verdict.matched_policy is not None:
-            doc["matched_policy"] = _policy_json(verdict.matched_policy)
-        doc["failed_predicates"] = [
-            {"policy": _policy_json(policy), "predicate": predicate}
-            for policy, predicate in reasons
-        ]
-        print(json.dumps(doc, indent=2))
+        JsonWriter().write(_explain_json(sender, receiver, verdict, reasons, mode))
     else:
         print(f"sender   {describe_endpoint(sender)}")
         print(f"receiver {describe_endpoint(receiver)}")

@@ -44,7 +44,7 @@ from typing import Mapping, Optional, Sequence
 
 import yaml
 
-from .errors import IngestError, shown
+from .errors import SHOWN_CHARS, IngestError, shown
 from .matching import MatchMode
 from .model import (
     MAX_APP_ID,
@@ -320,7 +320,7 @@ def _node(value, allowed, where: str, warnings: Optional[list] = None) -> Mappin
         for key in unknown:
             if node[key] and (key in _WIDENING or key == "protocol" and node[key] not in ("TCP", "ANY")):
                 raise IngestError(f"{where}: unsupported key {key!r}: ignoring it would widen what is allowed")
-        warnings.extend(f"{where}: unknown key {key!r}" for key in unknown)
+        warnings.extend(f"{where}: unknown key {shown(key)}" for key in unknown)
     elif unknown:
         raise IngestError(f"{where}: unknown keys [{', '.join(map(shown, sorted(unknown, key=repr)))}]")
     return node
@@ -607,6 +607,12 @@ def _parse_application(entry: Mapping, where: str, endpoints: Mapping) -> dict:
 # --- topology ----------------------------------------------------------------
 
 
+def _endpoint_location(name: str) -> str:
+    """Where a topology endpoint is: its name in full up to ``SHOWN_CHARS``,
+    and a longer one quoted as ``shown`` quotes it."""
+    return f"endpoints.{name if len(name) <= SHOWN_CHARS else shown(name)}"
+
+
 def parse_topology(text: str):
     """Parse a topology document into ``(endpoints, applications, names)``:
     the endpoints by name, each application as the dict a scenario's
@@ -621,10 +627,10 @@ def parse_topology(text: str):
     first_names: dict[Endpoint, str] = {}
     for name, fields in _require_mapping(data.get("endpoints", {}), "endpoints").items():
         name = _require_str(name, "endpoint name")
-        ep = endpoints[name] = parse_endpoint_fields(fields, f"endpoints.{name}")
+        ep = endpoints[name] = parse_endpoint_fields(fields, _endpoint_location(name))
         first = first_names.setdefault(ep, name)
         if first != name:
-            raise IngestError(f"endpoints.{name}: same endpoint as endpoints.{first}")
+            raise IngestError(f"{_endpoint_location(name)}: same endpoint as {_endpoint_location(first)}")
 
     applications: dict[int, dict] = {}
     names: dict[int, str] = {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,8 +15,27 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flowcheck.cli import main, parse_endpoint_spec
-from flowcheck import Cidr, Endpoint, Namespace, ingest
+from flowcheck.cli import JsonWriter, _check_json, _explain_json, _reachability_json, main, parse_endpoint_spec
+from flowcheck import (
+    Cidr,
+    Direction,
+    DuplicateEndpoint,
+    Endpoint,
+    Expectation,
+    MatchMode,
+    MatchVerdict,
+    Namespace,
+    Policy,
+    PolicyOrigin,
+    ReachabilityMatrix,
+    ScenarioReport,
+    ScenarioStep,
+    StepOutcome,
+    UnknownApplication,
+    ingest,
+)
+from flowcheck.model import MAX_NAMESPACE_ID, endpoint_to_dict, policy_to_dict
+from flowcheck.scenario import ACTIONS
 from flowcheck.errors import SHOWN_CHARS, FlowcheckError, shown
 from flowcheck.ingest import _ACTIONS, _APP_KEYS, _ENDPOINT_KEYS, parse_endpoint_fields
 
@@ -619,6 +640,11 @@ LONG_INPUTS = {
     "explain-key": (["explain", "label=x," + "k" * 5000 + "=1", "label=y"], None),
     "topology-endpoint-key": (
         ["reachability", "--topology"], "endpoints:\n  a:\n    label: A\n    ? " + "k" * 5000 + "\n    : 1\n"),
+    "topology-endpoint-name": (["reachability", "--topology"], "endpoints:\n  ? " + "k" * 5000 + "\n  : {label: [x]}\n"),
+    "topology-endpoint-name-twice": (
+        ["reachability", "--topology"],
+        "endpoints:\n  ? " + "k" * 5000 + "\n  : {cidr: 10.0.0.1/32}\n  b: {cidr: 10.0.0.1/32}\n",
+    ),
 }
 
 
@@ -637,6 +663,26 @@ def test_a_long_input_is_quoted_by_its_start_and_length(args, content, tmp_path,
 def test_a_str_is_quoted_in_full_up_to_the_bound():
     assert shown("k" * SHOWN_CHARS) == repr("k" * SHOWN_CHARS)
     assert shown("k" * (SHOWN_CHARS + 1)) == f"{'k' * SHOWN_CHARS!r}... ({SHOWN_CHARS + 1} characters)"
+
+
+def test_an_endpoint_name_is_named_in_full_up_to_the_bound():
+    def refusal(name):
+        with pytest.raises(FlowcheckError) as caught:
+            ingest.parse_topology(f"endpoints:\n  {name}: {{label: [x]}}\n")
+        return str(caught.value)
+
+    name = "k" * SHOWN_CHARS
+    assert refusal(name).startswith(f"endpoints.{name}.label: ")
+    assert refusal(name + "k").startswith(f"endpoints.{shown(name + 'k')}.label: ")
+
+
+def test_a_long_unknown_policy_key_is_one_short_warning(tmp_path, capsys):
+    path = tmp_path / "p.yaml"
+    path.write_text(WORLD_POLICY + "  ? " + "k" * 5000 + "\n  : 1\n", encoding="utf-8")
+    assert main(["explain", "label=x", "label=y", "--policies", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: {path}: spec: unknown key ") and err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 300 and "'... (5000 characters)" in err
 
 
 # one bad file among good ones, in the BAD slot: its error line names it
@@ -794,13 +840,14 @@ def test_hostile_files_never_raise(topology, scenario, sender, receiver, tmp_pat
         assert main(argv) in (0, 1, 2)
 
 
+def _child_env() -> dict:
+    """The environment of a child process that imports this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def _run_flowcheck(*args, **kwargs):
     """``python -m flowcheck`` in a child process, importing this checkout."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "flowcheck", *args],
-        env={**os.environ, "PYTHONPATH": path}, **kwargs,
-    )
+    return subprocess.run([sys.executable, "-m", "flowcheck", *args], env=_child_env(), **kwargs)
 
 
 def test_console_entry_point():
@@ -827,15 +874,163 @@ def test_deep_nesting_is_config_error(args, open_, close, tmp_path):
     assert "nested deeper than 100 levels" in result.stderr and "Traceback" not in result.stderr
 
 
-def test_closed_stdout_exits_quietly():
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["reachability", "--policies", UI_POLICY, "--topology", TOPOLOGY],
+        ["reachability", "--policies", UI_POLICY, "--topology", TOPOLOGY, "--format", "json"],
+        ["check", "--scenario", CLIENT_FLOW, "--format", "json"],
+    ],
+    ids=["reachability-table", "reachability-json", "check-json"],
+)
+def test_closed_stdout_exits_quietly(args):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = _run_flowcheck(
-            "reachability", "--policies", UI_POLICY, "--topology", TOPOLOGY,
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
-        )
+        result = _run_flowcheck(*args, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write_end)
     assert result.returncode == 141
     assert result.stderr == ""
+
+
+def test_a_reader_leaving_mid_stream_ends_it_quietly(tmp_path, capsys):
+    # 30 named applications, each listening on its own endpoint: 870
+    # entries, far more JSON than a pipe buffer or one write holds
+    apps = range(1, 31)
+    path = tmp_path / "topology.yaml"
+    path.write_text(
+        "endpoints:\n"
+        + "".join(f"  e{i}: {{namespace: NS-{i}, port: {1000 + i}, label: App{i}}}\n" for i in apps)
+        + "applications:\n"
+        + "".join(f"  - {{id: {i}, name: App{i}, send: e{i}, listen: [e{i}]}}\n" for i in apps),
+        encoding="utf-8",
+    )
+    args = ["reachability", "--topology", str(path), "--format", "json"]
+    assert main(args) == 0
+    out = capsys.readouterr().out  # many chunks, each as json.dumps writes it
+    assert len(out) > 2 * 65536 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    with subprocess.Popen(
+        [sys.executable, "-m", "flowcheck", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+    ) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141
+    assert err == b""
+
+
+# --- the JSON writer against json.dumps ----------------------------------------
+
+# text JSON escapes: quotes, a backslash, control and non-ASCII characters
+_json_text = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n é☃\u2028\U0001f600') | st.characters(), max_size=6)
+_big = st.integers(0, 2**63 - 1)
+_cidrs = st.builds(Cidr, *[st.integers(0, 255)] * 4, st.integers(0, 32))
+_json_endpoints = st.fixed_dictionaries({
+    "cidr": st.none() | _cidrs,
+    "namespace": st.none() | st.builds(Namespace, _json_text.filter(bool), st.integers(0, MAX_NAMESPACE_ID)),
+    "port": st.none() | st.integers(1, 65535),
+    "label": st.none() | _json_text,
+}).filter(lambda fields: any(value is not None for value in fields.values())).map(lambda fields: Endpoint(**fields))
+
+
+@st.composite
+def _copies(draw, endpoints):
+    """Copies of one policy that differ only in origin."""
+    pair = (draw(st.sampled_from(endpoints)), draw(st.sampled_from(endpoints)))
+    direction = draw(st.sampled_from(Direction))
+    origins = draw(st.lists(st.none() | st.builds(PolicyOrigin, _json_text, _big), min_size=1, max_size=3))
+    return [Policy(pair, direction, origin) for origin in origins]
+
+
+@st.composite
+def _pools(draw):
+    """A few endpoints and policies that documents draw from, so that one
+    object appears in several places."""
+    endpoints = draw(st.lists(_json_endpoints, min_size=1, max_size=4))
+    policies = [copy for copies in draw(st.lists(_copies(endpoints), max_size=3)) for copy in copies]
+    return endpoints, policies
+
+
+def _policy_doc(policy) -> dict:
+    data = policy_to_dict(policy)
+    if policy.origin is not None:
+        data["origin"] = {"document": policy.origin.document, "rule_index": policy.origin.rule_index}
+    return data
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        JsonWriter().write(doc)
+    return out.getvalue()
+
+
+_modes = st.sampled_from(MatchMode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mode=_modes)
+def test_a_reachability_matrix_is_written_as_json_dumps_writes_it(data, mode):
+    endpoints, policies = data.draw(_pools())
+    keys = st.tuples(_big, _big, st.sampled_from(endpoints))
+    entries = data.draw(st.dictionaries(keys, st.none() | st.sampled_from(policies or [None]), max_size=6))
+    matrix = ReachabilityMatrix({key: MatchVerdict(matched_policy=policy) for key, policy in entries.items()})
+    names = data.draw(st.dictionaries(st.sampled_from([i for sid, rid, _ in entries for i in (sid, rid)] or [0]), _json_text))
+    reference = []
+    for (sid, rid, ep), verdict in matrix.entries.items():
+        entry = {"sender": sid, "receiver": rid, "endpoint": endpoint_to_dict(ep), "allowed": verdict.allowed}
+        if sid in names:
+            entry["sender_name"] = names[sid]
+        if rid in names:
+            entry["receiver_name"] = names[rid]
+        if verdict.matched_policy is not None:
+            entry["matched_policy"] = _policy_doc(verdict.matched_policy)
+        reference.append(entry)
+    expected = json.dumps({"mode": mode.value, "entries": reference}, indent=2) + "\n"
+    assert _written(_reachability_json(matrix, names, mode)) == expected
+
+
+_violations = st.builds(UnknownApplication, _json_text) | st.builds(DuplicateEndpoint, _json_text)
+_outcomes = st.builds(
+    StepOutcome,
+    index=_big,
+    step=st.builds(ScenarioStep, st.sampled_from(ACTIONS), st.just({}),
+                   st.builds(Expectation, st.none() | _json_text)),
+    message=_json_text,
+    error=st.none() | _violations,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcomes=st.lists(_outcomes, max_size=5), mode=_modes)
+def test_a_scenario_report_is_written_as_json_dumps_writes_it(outcomes, mode):
+    report = ScenarioReport(tuple(outcomes))
+    reference = report.to_dict()
+    reference["mode"] = mode.value
+    assert _written(_check_json(report, mode)) == json.dumps(reference, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mode=_modes)
+def test_an_explanation_is_written_as_json_dumps_writes_it(data, mode):
+    endpoints, policies = data.draw(_pools())
+    sender, receiver = data.draw(st.sampled_from(endpoints)), data.draw(st.sampled_from(endpoints))
+    witness = data.draw(st.none() | st.sampled_from(policies or [None]))
+    reasons = [] if witness is not None or not policies else data.draw(
+        st.lists(st.tuples(st.sampled_from(policies), _json_text), max_size=5)
+    )
+    verdict = MatchVerdict(matched_policy=witness)
+    reference = {
+        "mode": mode.value,
+        "sender": endpoint_to_dict(sender),
+        "receiver": endpoint_to_dict(receiver),
+        "allowed": verdict.allowed,
+    }
+    if witness is not None:
+        reference["matched_policy"] = _policy_doc(witness)
+    reference["failed_predicates"] = [
+        {"policy": _policy_doc(policy), "predicate": predicate} for policy, predicate in reasons
+    ]
+    expected = json.dumps(reference, indent=2) + "\n"
+    assert _written(_explain_json(sender, receiver, verdict, reasons, mode)) == expected

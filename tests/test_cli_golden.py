@@ -8,7 +8,9 @@ libyaml's parser when PyYAML has it, and PyYAML's own.  The scenarios use
 /30 and /28 client blocks, which semantic mode refuses, so their checks
 run in strict mode, and ``ERROR_CASES`` records that refusal and the
 other answers on standard error: warnings for unknown policy keys, input
-errors and command lines in the wrong order.
+errors and command lines in the wrong order.  ``OUTPUT_CASES`` covers
+what the JSON writer must get right, and every JSON output is what
+``json.dumps`` with an indent of two writes for it.
 
 ``tests/data/cli_golden.json`` holds each case's command line, exit code,
 standard output and standard error.  After a deliberate change to the
@@ -75,6 +77,25 @@ ERROR_CASES = {
 }
 
 
+# what the output itself must get right: a report with no outcomes, names
+# that JSON escapes, and one rule in two documents, whose two copies
+# differ only in origin
+OUTPUT_CASES = {
+    "check no steps json": ["check", "--scenario", "tests/data/empty-scenario.yaml", "--format", "json"],
+    **{
+        f"reachability quoted names {fmt}": [
+            "reachability", "--policies", "data/policies/ui-policy.yaml",
+            "--topology", "tests/data/quoted-names-topology.yaml", "--format", fmt,
+        ]
+        for fmt in ("table", "json")
+    },
+    "explain rule copies json": [
+        "explain", "cidr=10.28.1.2/30", "namespace=NS-UI,label=WebUI,port=80",
+        "--policies", "data/policies/ui-policy.yaml", "tests/data/ui-policy-copy.yaml", "--format", "json",
+    ],
+}
+
+
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for fmt in ("table", "json"):
@@ -89,7 +110,7 @@ def _cases() -> dict[str, list[str]]:
         cases[f"reachability empty {fmt}"] = [
             "reachability", *POLICIES, "--topology", "tests/data/empty-topology.yaml", "--format", fmt,
         ]
-    return cases | ERROR_CASES
+    return cases | ERROR_CASES | OUTPUT_CASES
 
 
 CASES = _cases()
@@ -132,6 +153,12 @@ def test_output_matches_golden(name, monkeypatch):
     for base in BASES:
         monkeypatch.setattr(ingest, "_BASE_LOADER", base)
         assert run(CASES[name]) == golden()[name], base.__name__
+
+
+@pytest.mark.parametrize("name", [name for name, argv in CASES.items() if argv[-2:] == ["--format", "json"]])
+def test_json_output_is_what_json_dumps_writes(name):
+    stdout = golden()[name]["stdout"]
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
 
 if __name__ == "__main__":
