@@ -6,12 +6,14 @@ policies and topology, ``reachability`` prints the all-pairs flow matrix,
 allows it or, for a denial, why each policy fails.  Exit codes: 0
 success/allowed, 1 expectation mismatch or denied, 2 parse or
 configuration errors, 141 when the reader of standard output closed it
-early.
+early.  ``--format json`` output goes through ``write_json``, which
+writes the bytes ``print(json.dumps(doc, indent=2))`` would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,85 +86,73 @@ def _policy_json(policy) -> dict:
 
 
 _quoted = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
-_SCALARS = frozenset({str, int, bool, type(None)})
 # characters handed to standard output at once: under PYTHONUNBUFFERED
 # each write is a system call, so one per list item would cost more than
 # the rendering
 _CHUNK = 8192
 
 
-class JsonWriter:
-    """Writes documents to standard output, piece by piece, with the bytes
-    ``print`` gives for ``json.dumps(doc)`` indented by two spaces.
+def write_json(doc: dict) -> None:
+    """Write ``doc`` to standard output as ``print(json.dumps(doc,
+    indent=2))`` does.
 
     A top-level value that is an iterator is written as a list, rendered
     item by item, and the text goes out in chunks of about ``_CHUNK``
     characters, so neither the document's items nor its text are ever
-    held whole.  An ``Endpoint`` or ``Policy`` is written as its JSON
-    object, rendered once per object and depth and kept for the writer's
-    life.  The cache is keyed by identity, since policy equality ignores
-    the origin the text holds.  A mapping of scalars goes through the C
-    encoder, one built per depth, since ``indent`` selects the pure-Python
-    one.
+    held whole.
     """
+    chunk, size = [], 0
+    for piece in _pieces(doc):
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            sys.stdout.write("".join(chunk))
+            chunk, size = [], 0
+    sys.stdout.write("".join(chunk))
 
-    def __init__(self):
-        self._fragments = {}  # (id, depth) -> (object, text): the object keeps its id its own
-        self._encoders = {}  # depth -> encode of a mapping of scalars whose items sit at depth + 1
 
-    def write(self, doc: dict) -> None:
-        chunk, size = [], 0
-        for piece in self._pieces(doc):
-            chunk.append(piece)
-            size += len(piece)
-            if size >= _CHUNK:
-                sys.stdout.write("".join(chunk))
-                chunk, size = [], 0
-        sys.stdout.write("".join(chunk))
+def _pieces(doc: dict):
+    opening = "{"
+    for key, value in doc.items():
+        yield f"{opening}\n  {_quoted(key)}: "
+        opening = ","
+        if not isinstance(value, Iterator):
+            yield _render(value, 1)
+            continue
+        bracket = "["
+        for item in value:
+            yield f"{bracket}\n    {_render(item, 2)}"
+            bracket = ","
+        yield "[]" if bracket == "[" else "\n  ]"
+    yield "{}\n" if opening == "{" else "\n}\n"
 
-    def _pieces(self, doc: dict):
-        opening = "{"
-        for key, value in doc.items():
-            yield f"{opening}\n  {_quoted(key)}: "
-            opening = ","
-            if not isinstance(value, Iterator):
-                yield self.render(value, 1)
-                continue
-            bracket = "["
-            for item in value:
-                yield f"{bracket}\n    {self.render(item, 2)}"
-                bracket = ","
-            yield "[]" if bracket == "[" else "\n  ]"
-        yield "{}\n" if opening == "{" else "\n}\n"
 
-    def render(self, value, depth: int) -> str:
-        """``value``, a mapping, an endpoint, a policy or a scalar, as
-        ``json.dumps`` indented by two spaces writes it ``depth`` levels in."""
-        kind = type(value)
-        if kind is Endpoint or kind is Policy:
-            hit = self._fragments.get((id(value), depth))
-            if hit is None:
-                data = endpoint_to_dict(value) if kind is Endpoint else _policy_json(value)
-                hit = self._fragments[id(value), depth] = (value, self.render(data, depth))
-            return hit[1]
-        if kind is dict:
-            if not value:
-                return "{}"
-            pad = "\n" + "  " * (depth + 1)
-            if all(type(item) in _SCALARS for item in value.values()):
-                encode = self._encoders.get(depth)
-                if encode is None:
-                    encoder = json.JSONEncoder(check_circular=False, separators=("," + pad, ": "))
-                    encode = self._encoders[depth] = encoder.encode
-                items = encode(value)[1:-1]
-                return f"{{{pad}{items}\n{'  ' * depth}}}"
-            items = ",".join(f"{pad}{_quoted(key)}: {self.render(item, depth + 1)}" for key, item in value.items())
-            return f"{{{items}\n{'  ' * depth}}}"
-        if kind is str:
-            return _quoted(value)
-        if value is None or kind is bool:
-            return "null" if value is None else "true" if value else "false"
-        return int.__repr__(value)  # a TypeError for anything else, as json.dumps refuses it
+@functools.lru_cache(maxsize=1024)
+def _endpoint_text(endpoint: Endpoint, depth: int) -> str:
+    """An endpoint's JSON object ``depth`` levels in; equal endpoints
+    render the same text, so the cache is keyed by value."""
+    return _render(endpoint_to_dict(endpoint), depth)
+
+
+def _render(value, depth: int) -> str:
+    """``value``, a mapping, an endpoint, a policy or a scalar, as
+    ``json.dumps`` indented by two spaces writes it ``depth`` levels in."""
+    kind = type(value)
+    if kind is Endpoint:
+        return _endpoint_text(value, depth)
+    if kind is Policy:  # not cached: policy equality ignores the origin its text holds
+        value, kind = _policy_json(value), dict
+    if kind is dict:
+        if not value:
+            return "{}"
+        pad = "\n" + "  " * (depth + 1)
+        items = ",".join(f"{pad}{_quoted(key)}: {_render(item, depth + 1)}" for key, item in value.items())
+        return f"{{{items}\n{'  ' * depth}}}"
+    if kind is str:
+        return _quoted(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value)  # a TypeError for anything else, as json.dumps refuses it
 
 
 def parse_endpoint_spec(spec: str, role: str = "endpoint spec") -> Endpoint:
@@ -265,7 +255,7 @@ def cmd_check(args) -> int:
         script.steps, mode=mode, initial_state=state, check_listen=args.check_listen
     )
     if args.format == "json":
-        JsonWriter().write(_check_json(report, mode))
+        write_json(_check_json(report, mode))
     else:
         for outcome in report.outcomes:
             status = "ok" if outcome.matched else "MISMATCH"
@@ -290,7 +280,7 @@ def cmd_reachability(args) -> int:
         return f"{aid}:{names[aid]}" if aid in names else str(aid)
 
     if args.format == "json":
-        JsonWriter().write(_reachability_json(matrix, names, mode))
+        write_json(_reachability_json(matrix, names, mode))
     else:
         rows = []
         for (sid, rid, ep), verdict in matrix.entries.items():
@@ -337,7 +327,7 @@ def cmd_explain(args) -> int:
     ]
 
     if args.format == "json":
-        JsonWriter().write(_explain_json(sender, receiver, verdict, reasons, mode))
+        write_json(_explain_json(sender, receiver, verdict, reasons, mode))
     else:
         print(f"sender   {describe_endpoint(sender)}")
         print(f"receiver {describe_endpoint(receiver)}")
@@ -395,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # text output escapes what the stream cannot encode, as stderr does
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flowcheck.cli import JsonWriter, _check_json, _explain_json, _reachability_json, main, parse_endpoint_spec
+from flowcheck.cli import _check_json, _explain_json, _reachability_json, main, parse_endpoint_spec, write_json
 from flowcheck import (
     Cidr,
     Direction,
@@ -948,6 +948,9 @@ def _pools(draw):
     """A few endpoints and policies that documents draw from, so that one
     object appears in several places."""
     endpoints = draw(st.lists(_json_endpoints, min_size=1, max_size=4))
+    # and a separately built equal copy of each, since the writer's
+    # endpoint memo is keyed by value
+    endpoints += [Endpoint(ep.cidr, ep.namespace, ep.port, ep.label) for ep in endpoints]
     policies = [copy for copies in draw(st.lists(_copies(endpoints), max_size=3)) for copy in copies]
     return endpoints, policies
 
@@ -962,7 +965,7 @@ def _policy_doc(policy) -> dict:
 def _written(doc) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        JsonWriter().write(doc)
+        write_json(doc)
     return out.getvalue()
 
 
@@ -1034,3 +1037,55 @@ def test_an_explanation_is_written_as_json_dumps_writes_it(data, mode):
     ]
     expected = json.dumps(reference, indent=2) + "\n"
     assert _written(_explain_json(sender, receiver, verdict, reasons, mode)) == expected
+
+
+def test_an_endpoint_value_is_written_alike_at_each_depth():
+    sender = Endpoint(Cidr(10, 28, 1, 2, 32), label="Cl\u00efent")
+    receiver = Endpoint(namespace=Namespace("NS-UI"), port=443, label="WebUI")
+    policy = Policy((sender, receiver), Direction.INGRESS, PolicyOrigin("ui-policy.yaml", 0))
+    verdict = MatchVerdict(matched_policy=policy)
+    # one endpoint value as explain's sender, one level in, then in
+    # reachability entries, three levels in, then explain's again from an
+    # equal copy: the writer's memo is keyed by value and depth
+    copy = Endpoint(Cidr(10, 28, 1, 2, 32), label="Cl\u00efent")
+    assert copy == sender and copy is not sender
+    explanation = {
+        "mode": "strict",
+        "sender": endpoint_to_dict(sender),
+        "receiver": endpoint_to_dict(receiver),
+        "allowed": True,
+        "matched_policy": _policy_doc(policy),
+        "failed_predicates": [],
+    }
+    entries = {(1, 2, copy): verdict, (2, 1, sender): MatchVerdict()}
+    matrix = {
+        "mode": "strict",
+        "entries": [
+            {"sender": 1, "receiver": 2, "endpoint": endpoint_to_dict(sender), "allowed": True,
+             "matched_policy": _policy_doc(policy)},
+            {"sender": 2, "receiver": 1, "endpoint": endpoint_to_dict(sender), "allowed": False},
+        ],
+    }
+    for doc, expected in [
+        (_explain_json(sender, receiver, verdict, (), MatchMode.STRICT), explanation),
+        (_reachability_json(ReachabilityMatrix(entries), {}, MatchMode.STRICT), matrix),
+        (_explain_json(copy, receiver, verdict, (), MatchMode.STRICT), explanation),
+    ]:
+        assert _written(doc) == json.dumps(expected, indent=2) + "\n"
+
+
+def test_text_output_escapes_what_standard_output_cannot_encode(tmp_path, monkeypatch):
+    topology = tmp_path / "topology.yaml"
+    topology.write_text(
+        "endpoints:\n"
+        "  c: {cidr: 10.0.0.1/32}\n"
+        "  w: {namespace: NS-UI, port: 443, label: WebUI}\n"
+        "applications:\n"
+        "  - {id: 1, name: Cl\u00efent, send: c, listen: []}\n"
+        "  - {id: 2, name: WebUI, send: w, listen: [w]}\n",
+        encoding="utf-8",
+    )
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    assert main(["reachability", "--topology", str(topology)]) == 0
+    assert b"1:Cl\\xefent" in raw.getvalue()
