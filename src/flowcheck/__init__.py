@@ -53,8 +53,6 @@ from .model import (
 )
 from .reachability import ReachabilityMatrix, compute_reachability
 from .scenario import (
-    EXPECT_OK,
-    Expectation,
     ScenarioReport,
     ScenarioStep,
     StepOutcome,

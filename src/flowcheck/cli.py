@@ -198,13 +198,15 @@ def _ensure_host_cidrs(endpoints, what: str) -> None:
         )
 
 
-def _application_endpoints(topology) -> set[Endpoint]:
-    """The endpoints a ``parse_topology`` result's applications send and listen on."""
-    return {ep for app in topology[1] for ep in (app["send"], *app["listen"])}
+def _application_endpoints(applications) -> set[Endpoint]:
+    """The endpoints that ``deploy_application`` argument dicts (a
+    ``parse_topology`` result's applications, or a scenario's deploy
+    steps) send and listen on."""
+    return {ep for app in applications for ep in (app["send"], *app["listen"])}
 
 
 def _check_json(report, mode: MatchMode) -> dict:
-    """The document ``check --format json`` writes: ``report.to_dict()``
+    """The document ``check --format json`` writes: the scenario report
     and the mode, its outcomes rendered one at a time."""
     return {
         "steps_run": report.steps_run,
@@ -247,9 +249,11 @@ def cmd_check(args) -> int:
     script = _load(args.scenario, lambda text: parse_scenario(text, symbols=symbols))
     mode = MatchMode(args.mode) if args.mode else (script.mode or MatchMode.STRICT)
     if mode is MatchMode.SEMANTIC:
-        _ensure_host_cidrs(script.concrete_endpoints(), "scenario application/target endpoints")
+        deploys = (step.arguments for step in script.steps if step.action == "deploy_application")
+        targets = {step.arguments["endpoint"] for step in script.steps if step.action == "send_data"}
+        _ensure_host_cidrs(_application_endpoints(deploys) | targets, "scenario application/target endpoints")
         if topology is not None:
-            _ensure_host_cidrs(_application_endpoints(topology), "topology endpoints")
+            _ensure_host_cidrs(_application_endpoints(topology[1]), "topology endpoints")
     state, _ = assemble_state(policies, topology)
     report = run_scenario(
         script.steps, mode=mode, initial_state=state, check_listen=args.check_listen
@@ -272,12 +276,16 @@ def cmd_reachability(args) -> int:
     topology = _load(args.topology, parse_topology)
     mode = MatchMode(args.mode) if args.mode else MatchMode.STRICT
     if mode is MatchMode.SEMANTIC:
-        _ensure_host_cidrs(_application_endpoints(topology), "topology endpoints")
+        _ensure_host_cidrs(_application_endpoints(topology[1]), "topology endpoints")
     state, names = assemble_state(policies, topology)
     matrix = compute_reachability(state, mode)
+    encoding = sys.stdout.encoding or "utf-8"
 
     def app_label(aid: int) -> str:
         return f"{aid}:{names[aid]}" if aid in names else str(aid)
+
+    def printed(text: str) -> str:  # as standard output writes it, so widths count its escapes
+        return text.encode(encoding, "backslashreplace").decode(encoding)
 
     if args.format == "json":
         write_json(_reachability_json(matrix, names, mode))
@@ -286,11 +294,11 @@ def cmd_reachability(args) -> int:
         for (sid, rid, ep), verdict in matrix.entries.items():
             rows.append(
                 (
-                    app_label(sid),
-                    app_label(rid),
-                    describe_endpoint(ep),
+                    printed(app_label(sid)),
+                    printed(app_label(rid)),
+                    printed(describe_endpoint(ep)),
                     "allow" if verdict.allowed else "deny",
-                    _origin_text(verdict.matched_policy) if verdict.matched_policy else "-",
+                    printed(_origin_text(verdict.matched_policy)) if verdict.matched_policy else "-",
                 )
             )
         headers = ("sender", "receiver", "endpoint", "verdict", "policy")

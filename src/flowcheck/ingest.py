@@ -62,13 +62,7 @@ from .model import (
     parse_cidr,
     replace_validated,
 )
-from .scenario import (
-    EXPECT_OK,
-    Expectation,
-    ScenarioStep,
-    create_endpoint,
-    deploy_application,
-)
+from .scenario import ScenarioStep, create_endpoint, deploy_application
 
 API_VERSION = "cilium.io/v2"
 KIND = "CiliumNetworkPolicy"
@@ -668,25 +662,13 @@ class ScenarioScript:
     steps: tuple[ScenarioStep, ...]
     mode: Optional[MatchMode] = None
 
-    def concrete_endpoints(self) -> set[Endpoint]:
-        """Endpoints the script uses as application or target endpoints
-        (as opposed to policy pair members)."""
-        used: set[Endpoint] = set()
-        for step in self.steps:
-            if step.action == "deploy_application":
-                used.add(step.arguments["send"])
-                used.update(step.arguments.get("listen", ()))
-            elif step.action == "send_data":
-                used.add(step.arguments["endpoint"])
-        return used
 
-
-def _parse_expectation(value, action: str, where: str) -> Expectation:
+def _parse_expectation(value, action: str, where: str) -> str:
     ok, violation = ("allow", "deny") if action == "send_data" else ("ok", "violation")
     if value is None or value == ok:
-        return EXPECT_OK
+        return "ok"
     if value == violation:
-        return Expectation(violation_of=_ACTIONS[action][0])
+        return f"violation:{_ACTIONS[action][0]}"
     raise IngestError(f"{where}.expect: must be {ok!r} or {violation!r}, got {shown(value)}")
 
 

@@ -139,38 +139,14 @@ def transfer_data(
 
 
 @dataclass(frozen=True)
-class Expectation:
-    """Expected step result: success, or a named contract violation.
-
-    violation_of names the operation whose contract must fail (e.g.
-    "TransferData").
-    """
-
-    violation_of: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.violation_of is None
-
-    def matches(self, error: Optional[ContractViolation]) -> bool:
-        if error is None:
-            return self.ok
-        return error.operation == self.violation_of
-
-    def __str__(self):
-        return "ok" if self.ok else f"violation:{self.violation_of}"
-
-
-EXPECT_OK = Expectation()
-
-
-@dataclass(frozen=True)
 class ScenarioStep:
-    """One scripted action with resolved arguments and an expected outcome."""
+    """One scripted action with resolved arguments and an expected outcome:
+    ``expected`` is ``"ok"``, or ``"violation:<Operation>"`` naming the
+    operation whose contract must fail (e.g. ``"violation:TransferData"``)."""
 
     action: str
     arguments: Mapping[str, object]
-    expected: Expectation = EXPECT_OK
+    expected: str = "ok"
 
     def __post_init__(self):
         if self.action not in ACTIONS:
@@ -195,7 +171,7 @@ class StepOutcome:
 
     @property
     def matched(self) -> bool:
-        return self.step.expected.matches(self.error)
+        return self.step.expected == ("ok" if self.error is None else f"violation:{self.error.operation}")
 
     @property
     def detail(self) -> str:
@@ -211,7 +187,7 @@ class StepOutcome:
         return {
             "step_index": self.index,
             "action": self.step.action,
-            "expected": str(self.step.expected),
+            "expected": self.step.expected,
             "actual": self.actual,
             "matched": self.matched,
             "detail": self.detail,
@@ -233,13 +209,6 @@ class ScenarioReport:
     def passed(self) -> bool:
         """Every outcome matched its expectation."""
         return all(outcome.matched for outcome in self.outcomes)
-
-    def to_dict(self) -> dict:
-        return {
-            "steps_run": self.steps_run,
-            "passed": self.passed,
-            "outcomes": [outcome.to_dict() for outcome in self.outcomes],
-        }
 
 
 def _apply_step(state, step: ScenarioStep, mode: MatchMode, check_listen: bool):

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,6 @@ from flowcheck import (
     Direction,
     DuplicateEndpoint,
     Endpoint,
-    Expectation,
     MatchMode,
     MatchVerdict,
     Namespace,
@@ -159,6 +159,37 @@ class TestCheck:
         code = main(["check", "--scenario", CLIENT_FLOW, "--mode", "semantic"])
         assert code == 2
         assert "/32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps, code", [
+        ("deploy_application: {id: 1, send: block}", 2),
+        ("deploy_application: {id: 1, send: host, listen: [block]}", 2),
+        ("send_data: {from: 1, to: 2, endpoint: block, expect: deny}", 2),
+        ("send_data: {from: 1, to: 2, endpoint: webui}", 0),
+    ], ids=["send", "listen", "target", "policy-only"])
+    def test_semantic_mode_refuses_a_block_by_its_role(self, steps, code, tmp_path, capsys):
+        # the block is always a policy peer; only an application or target use is refused
+        scenario = tmp_path / "scenario.yaml"
+        deploys = [] if steps.startswith("deploy") else [
+            "deploy_application: {id: 1, send: host}",
+            "deploy_application: {id: 2, send: webui, listen: [webui]}",
+        ]
+        scenario.write_text("steps:\n" + "".join(f"  - {step}\n" for step in [
+            "create_endpoint: {name: host, cidr: 10.0.0.2/32}",
+            "create_endpoint: {name: block, cidr: 10.0.0.0/30}",
+            "create_endpoint: {name: webui, namespace: NS-UI, port: 443, label: WebUI}",
+            "create_policy: {name: p, first: webui, second: block, direction: 0}",
+            *deploys,
+            steps,
+        ]))
+        assert main(["check", "--scenario", str(scenario), "--mode", "semantic"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.endswith("scenario PASSED (7 steps run)\n")
+        else:
+            assert captured.err == (
+                "error: semantic mode requires /32 host addresses on scenario application/target endpoints; "
+                "offending: (cidr=10.0.0.0/30)\n"
+            )
 
     def test_semantic_mode_accepts_a_block_only_policies_name(self, capsys):
         # the topology's /24 is a policy peer; its applications use /32 hosts
@@ -999,7 +1030,7 @@ _outcomes = st.builds(
     StepOutcome,
     index=_big,
     step=st.builds(ScenarioStep, st.sampled_from(ACTIONS), st.just({}),
-                   st.builds(Expectation, st.none() | _json_text)),
+                   st.just("ok") | _json_text.map(lambda text: "violation:" + text)),
     message=_json_text,
     error=st.none() | _violations,
 )
@@ -1009,8 +1040,12 @@ _outcomes = st.builds(
 @given(outcomes=st.lists(_outcomes, max_size=5), mode=_modes)
 def test_a_scenario_report_is_written_as_json_dumps_writes_it(outcomes, mode):
     report = ScenarioReport(tuple(outcomes))
-    reference = report.to_dict()
-    reference["mode"] = mode.value
+    reference = {
+        "steps_run": len(outcomes),
+        "passed": all(outcome.matched for outcome in outcomes),
+        "outcomes": [outcome.to_dict() for outcome in outcomes],
+        "mode": mode.value,
+    }
     assert _written(_check_json(report, mode)) == json.dumps(reference, indent=2) + "\n"
 
 
@@ -1080,12 +1115,19 @@ def test_text_output_escapes_what_standard_output_cannot_encode(tmp_path, monkey
         "endpoints:\n"
         "  c: {cidr: 10.0.0.1/32}\n"
         "  w: {namespace: NS-UI, port: 443, label: WebUI}\n"
+        "  a: {cidr: 10.0.0.3/32}\n"
         "applications:\n"
         "  - {id: 1, name: Cl\u00efent, send: c, listen: []}\n"
-        "  - {id: 2, name: WebUI, send: w, listen: [w]}\n",
+        "  - {id: 2, name: WebUI, send: w, listen: [w]}\n"
+        "  - {id: 3, name: Asset, send: a, listen: [a]}\n",
         encoding="utf-8",
     )
     raw = io.BytesIO()
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
     assert main(["reachability", "--topology", str(topology)]) == 0
     assert b"1:Cl\\xefent" in raw.getvalue()
+    # each column is as wide as its widest escaped cell, so the receiver
+    # column starts at one offset on the header and on every row
+    *table, summary = raw.getvalue().decode("ascii").splitlines()
+    assert summary.startswith("0 allowed / ") and any(line.startswith("1:Cl\\xefent ") for line in table)
+    assert {re.match(r"\S+\s+", line).end() for line in table} == {table[0].index("receiver")}

@@ -22,7 +22,6 @@ from flowcheck import (
     DuplicateEndpoint,
     DuplicatePolicy,
     Endpoint,
-    Expectation,
     MatchMode,
     Message,
     Namespace,
@@ -259,7 +258,7 @@ class TestMatchProperties:
         assert send_data(later, 1, 2, receiver, mode)[1].allowed
         send = ScenarioStep("send_data", {"from": 1, "to": 2, "endpoint": receiver})
         steps = [
-            replace(send, expected=Expectation(violation_of="TransferData")),
+            replace(send, expected="violation:TransferData"),
             ScenarioStep("create_policy", {"first": receiver, "second": sender, "direction": Direction.INGRESS}),
             send,
         ]
